@@ -31,7 +31,7 @@ from repro.core import (
     ExecutorConfig,
     ExperimentConfig,
     FlowConfig,
-    run_sweep,
+    run_sweeps,
 )
 
 #: Default bench scales per circuit (fraction of the published size).
@@ -135,7 +135,7 @@ def sweep_result(name: str):
         executor = _executor()
         if executor.trace:
             with obs.tracing(label=f"bench:{name}") as tracer:
-                result = run_sweep(_experiment(name), executor)
+                result = run_sweeps([_experiment(name)], executor)[name]
             traces = [run.trace for run in result.runs.values()]
             traces.append(tracer.trace())
             OUT_DIR.mkdir(exist_ok=True)
@@ -143,7 +143,7 @@ def sweep_result(name: str):
             obs.write_chrome_trace(trace_path, traces)
             print(f"\n[bench artifact] {trace_path}")
         else:
-            result = run_sweep(_experiment(name), executor)
+            result = run_sweeps([_experiment(name)], executor)[name]
         _write_stage_breakdown(name, result)
         _CACHE[name] = result
     return _CACHE[name]

@@ -15,31 +15,11 @@ Run:  python examples/tpi_sweep.py [circuit] [scale] [jobs] [cache_dir]
       circuit in {s38417, control_core, p26909}
 """
 
-import functools
 import sys
 import time
 
-from repro.circuits import control_core, dsp_core_p26909, s38417_like
-from repro.core import (
-    ExecutorConfig,
-    ExperimentConfig,
-    FlowConfig,
-    format_table1,
-    format_table2,
-    format_table3,
-    run_experiment,
-    run_sweep,
-)
-
-CIRCUITS = {
-    "s38417": (s38417_like, dict(target_utilization=0.97,
-                                 max_chain_length=100, n_chains=None)),
-    "control_core": (control_core, dict(target_utilization=0.97,
-                                        max_chain_length=100,
-                                        n_chains=None)),
-    "p26909": (dsp_core_p26909, dict(target_utilization=0.50,
-                                     max_chain_length=None, n_chains=32)),
-}
+import repro
+from repro.core import format_table1, format_table2, format_table3
 
 
 def main() -> None:
@@ -47,28 +27,15 @@ def main() -> None:
     scale = float(sys.argv[2]) if len(sys.argv) > 2 else 0.05
     jobs = int(sys.argv[3]) if len(sys.argv) > 3 else 1
     cache_dir = sys.argv[4] if len(sys.argv) > 4 else None
-    factory, flow_kwargs = CIRCUITS[name]
 
-    config = ExperimentConfig(
-        name=name,
-        # partial, not a lambda: worker processes pickle the factory.
-        circuit_factory=functools.partial(factory, scale=scale),
-        tp_percents=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0),
-        flow=FlowConfig(**flow_kwargs),
-    )
     print(f"Sweeping {name} at scale {scale}: six layouts "
           f"(0%..5% test points) with jobs={jobs} "
           f"cache={cache_dir or 'off'} ...")
     t0 = time.time()
-    if jobs > 1 or cache_dir:
-        result = run_sweep(config, ExecutorConfig(jobs=jobs,
-                                                  cache_dir=cache_dir))
-        cached = sorted(p for p, r in result.runs.items() if r.from_cache)
-        if cached:
-            print("served from cache: "
-                  + ", ".join(f"{p:g}%" for p in cached))
-    else:
-        result = run_experiment(config)
+    result = repro.sweep(name, scale=scale, jobs=jobs, cache_dir=cache_dir)
+    cached = sorted(p for p, r in result.runs.items() if r.from_cache)
+    if cached:
+        print("served from cache: " + ", ".join(f"{p:g}%" for p in cached))
     print(f"done in {time.time() - t0:.0f} s\n")
 
     print("Table 1: Impact of TPI on test data")

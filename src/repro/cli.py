@@ -149,8 +149,11 @@ def _print_tables(result) -> None:
 
     Shared by the in-process ``sweep`` subcommand and the service-side
     ``result``/``submit --wait`` ones, so a sweep's rendering is the
-    same no matter which path computed it.
+    same no matter which path computed it.  Prints nothing when no
+    level succeeded: the tables are relative to the 0% baseline row.
     """
+    if not result.runs:
+        return
     print("Table 1: Impact of TPI on test data")
     print(format_table1(result.table1_rows()))
     print("\nTable 2: Impact of TPI on silicon area")
@@ -208,80 +211,61 @@ def cmd_flow(args) -> int:
 def cmd_sweep(args) -> int:
     """The paper's six-layout sweep; prints Tables 1-3.
 
-    The serial path (``--jobs 1``, no cache) is the reference
-    semantics; ``--jobs N`` and ``--cache-dir`` route the sweep
-    through the fault-tolerant executor, which is bit-identical to it.
-    A degraded sweep (some cells permanently failed) still prints the
-    tables — with holes — plus a failure report, and exits 3.
+    Every job count runs through the fault-tolerant executor:
+    ``--jobs 1`` runs the levels in this process, ``--jobs N`` fans
+    them out over N worker processes, bit-identically.  A degraded
+    sweep (some cells permanently failed) still prints the tables —
+    with holes — plus a failure report, and exits 3; when a ``--lint``
+    gate failed a cell, it prints that cell's lint report and exits 4.
     """
+    cache_dir = None if args.no_cache else args.cache_dir
+    want_trace = bool(args.trace or args.trace_dir)
     sweep_kwargs = dict(
         scale=args.scale,
         tp_percents=args.tp_percents,
+        jobs=args.jobs,
+        cache_dir=cache_dir,
+        cache_max_bytes=args.cache_max_bytes,
+        trace=want_trace,
+        retries=args.retries,
+        task_timeout_s=args.task_timeout,
+        resume=args.resume,
+        fail_fast=args.fail_fast,
+        chaos=FaultPlan.load(args.chaos) if args.chaos else None,
         **_flow_overrides(args),
     )
-    cache_dir = None if args.no_cache else args.cache_dir
-    chaos_plan = FaultPlan.load(args.chaos) if args.chaos else None
-    resilient = (args.retries != 2 or args.task_timeout is not None
-                 or args.resume or args.fail_fast
-                 or chaos_plan is not None)
-    want_trace = bool(args.trace or args.trace_dir)
+    print(f"[executor] jobs={args.jobs} "
+          f"cache={cache_dir or 'off'} retries={args.retries}"
+          + (f" timeout={args.task_timeout:g}s"
+             if args.task_timeout else "")
+          + (" resume" if args.resume else "")
+          + (" fail-fast" if args.fail_fast else "")
+          + (f" chaos={args.chaos}" if args.chaos else ""))
     traces = []
-    report = None
-    if args.jobs > 1 or cache_dir or resilient:
-        sweep_kwargs.update(jobs=args.jobs, cache_dir=cache_dir,
-                            use_cache=not args.no_cache,
-                            cache_max_bytes=args.cache_max_bytes,
-                            trace=want_trace,
-                            retries=args.retries,
-                            task_timeout_s=args.task_timeout,
-                            resume=args.resume,
-                            fail_fast=args.fail_fast,
-                            chaos=chaos_plan)
-        print(f"[executor] jobs={args.jobs} "
-              f"cache={cache_dir or 'off'} retries={args.retries}"
-              + (f" timeout={args.task_timeout:g}s"
-                 if args.task_timeout else "")
-              + (" resume" if args.resume else "")
-              + (" fail-fast" if args.fail_fast else "")
-              + (f" chaos={args.chaos}" if args.chaos else ""))
-        if want_trace:
-            with obs.tracing(label=f"sweep:{args.circuit}") as tracer:
-                report = api.sweep_report(args.circuit, **sweep_kwargs)
-            result = report.results[args.circuit]
-            # Worker flow traces plus the parent's scheduling trace
-            # (queue waits, cache counters) merge into one timeline.
-            traces = [run.trace for run in result.runs.values()
-                      if run.trace is not None]
-            traces.append(tracer.trace())
-        else:
+    if want_trace:
+        with obs.tracing(label=f"sweep:{args.circuit}") as tracer:
             report = api.sweep_report(args.circuit, **sweep_kwargs)
-            result = report.results[args.circuit]
-        cached = sorted(
-            pct for pct, run in result.runs.items() if run.from_cache
-        )
-        if cached:
-            print("[executor] served from cache: "
-                  + ", ".join(f"{pct:g}%" for pct in cached))
-        if report.retries or report.timeouts or report.worker_crashes:
-            print(f"[executor] retries={report.retries} "
-                  f"timeouts={report.timeouts} "
-                  f"worker-crashes={report.worker_crashes}")
-        if report.journal_path:
-            print(f"[executor] journal: {report.journal_path}")
-    elif want_trace:
-        # Serial path: one tracer spans the whole sweep, so its trace
-        # already holds every level's stage spans.
-        try:
-            with obs.tracing(label=f"sweep:{args.circuit}") as tracer:
-                result = api.sweep(args.circuit, **sweep_kwargs)
-        except LintError as err:
-            return _report_lint_abort(err)
-        traces = [tracer.trace()]
+        result = report.results[args.circuit]
+        # Per-level flow traces plus the parent's scheduling trace
+        # (queue waits, cache counters) merge into one timeline.
+        traces = [run.trace for run in result.runs.values()
+                  if run.trace is not None]
+        traces.append(tracer.trace())
     else:
-        try:
-            result = api.sweep(args.circuit, **sweep_kwargs)
-        except LintError as err:
-            return _report_lint_abort(err)
+        report = api.sweep_report(args.circuit, **sweep_kwargs)
+        result = report.results[args.circuit]
+    cached = sorted(
+        pct for pct, run in result.runs.items() if run.from_cache
+    )
+    if cached:
+        print("[executor] served from cache: "
+              + ", ".join(f"{pct:g}%" for pct in cached))
+    if report.retries or report.timeouts or report.worker_crashes:
+        print(f"[executor] retries={report.retries} "
+              f"timeouts={report.timeouts} "
+              f"worker-crashes={report.worker_crashes}")
+    if report.journal_path:
+        print(f"[executor] journal: {report.journal_path}")
     _print_tables(result)
     if args.trace:
         obs.write_chrome_trace(args.trace, traces)
@@ -298,11 +282,15 @@ def cmd_sweep(args) -> int:
               f"{args.trace_dir}")
         print(f"  merge: python -m repro trace merge "
               f"--out merged.json {args.trace_dir}")
-    if report is not None and report.failures:
+    if report.failures:
         print(f"\nFAILED cells ({len(report.failures)}; tables above "
               "have holes at these levels)")
         print(format_failures(report.failures))
-        return 3
+        lint_errors = [f.exception for f in report.failures
+                       if isinstance(f.exception, LintError)]
+        for err in lint_errors:
+            _report_lint_abort(err)
+        return EXIT_LINT if lint_errors else 3
     return 0
 
 
@@ -630,7 +618,8 @@ def main(argv=None) -> int:
                          help="comma-separated TP levels to sweep "
                               "(default: the paper's 0-5%% ladder)")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for the sweep levels")
+                         help="worker processes for the sweep levels "
+                              "(1: run them in this process)")
     p_sweep.add_argument("--cache-dir", default=None,
                          help="content-addressed result cache directory")
     p_sweep.add_argument("--no-cache", action="store_true",
@@ -645,15 +634,16 @@ def main(argv=None) -> int:
                               "scratch every hold-fix round")
     p_sweep.add_argument("--lint", action="store_true",
                          help="run the netlist/DFT lint gates inside "
-                              "every level's flow; lint errors abort "
-                              "the serial sweep with exit 4")
+                              "every level's flow; a level with lint "
+                              "errors fails and the sweep exits 4")
     p_sweep.add_argument("--retries", type=int, default=2,
                          help="retry budget per (circuit, tp%%) task "
                               "for retryable failures (default 2)")
     p_sweep.add_argument("--task-timeout", type=float, default=None,
                          metavar="SECONDS",
                          help="watchdog per-task timeout; a hung task "
-                              "is killed (pool replaced) and retried")
+                              "is killed (pool replaced) and retried "
+                              "(--jobs 2 or more)")
     p_sweep.add_argument("--resume", action="store_true",
                          help="continue a previous sweep from its "
                               "cache + journal (needs --cache-dir)")

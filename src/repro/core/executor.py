@@ -1,4 +1,4 @@
-"""Parallel sweep executor with content-addressed result caching.
+"""Sweep executor with content-addressed result caching.
 
 The paper's experiment (Section 4.1) generates six independent layouts
 per circuit — one per test-point level.  Levels never share state: each
@@ -32,14 +32,13 @@ Three ideas, in order of appearance:
   ``FlowConfig.atpg.seed``, and every stochastic tie-break in the code
   base derives from stable (process-independent) hashes, so a parallel
   run is bit-identical to a serial run of the same configs.
-  Optionally (``ExecutorConfig.derive_seeds``) the per-level ATPG seed
-  is itself derived from the cache key, decorrelating levels without
-  sacrificing reproducibility; the flag is part of the cache key, so
-  the two modes never alias.
 
-Serial :func:`~repro.core.experiment.run_experiment` remains the
-reference semantics; with ``derive_seeds=False`` (the default) this
-executor reproduces it exactly, at any job count.
+Every job count runs through one scheduling loop (:class:`_Scheduler`)
+over one of two pool kinds: ``jobs > 1`` submits to a process pool,
+``jobs == 1`` to an in-process pool that runs each level in the calling
+thread.  Serial :func:`~repro.core.experiment.run_experiment` remains
+the reference semantics, and this executor reproduces it exactly at
+any job count.
 """
 
 from __future__ import annotations
@@ -54,6 +53,7 @@ import uuid
 from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
+    Future,
     ProcessPoolExecutor,
     wait as futures_wait,
 )
@@ -337,7 +337,7 @@ def circuit_structural_hash(circuit: Circuit) -> str:
 
 
 def flow_cache_key(circuit: Circuit, config: FlowConfig,
-                   library: Library, extra: str = "") -> str:
+                   library: Library) -> str:
     """Cache key of one flow run: circuit x config x library version.
 
     Args:
@@ -346,34 +346,14 @@ def flow_cache_key(circuit: Circuit, config: FlowConfig,
             already applied).
         library: Cell library; its name and the package version stand
             in for the library contents, which are code-defined.
-        extra: Executor-mode salt (e.g. the ``derive_seeds`` flag) so
-            runs under different execution semantics never alias.
     """
     parts = "\n".join([
         f"schema={CACHE_SCHEMA_VERSION}",
         circuit_structural_hash(circuit),
         config_fingerprint(config),
         f"library={library.name}:{repro.__version__}",
-        extra,
     ])
     return hashlib.sha256(parts.encode("utf-8")).hexdigest()
-
-
-def derive_seed(cache_key: str, attempt: int = 0) -> int:
-    """Deterministic 63-bit ATPG seed derived from a cache key.
-
-    ``attempt`` folds the retry number into the seed (attempt 0
-    reproduces the historical value exactly): under
-    ``ExecutorConfig.derive_seeds`` a retried task explores a fresh
-    but fully reproducible search path, which un-sticks seed-sensitive
-    heuristics without sacrificing replayability.
-    """
-    if attempt <= 0:
-        return int(cache_key[:16], 16) & 0x7FFFFFFFFFFFFFFF
-    salted = hashlib.sha256(
-        f"{cache_key}:attempt={attempt}".encode("utf-8")
-    ).hexdigest()
-    return int(salted[:16], 16) & 0x7FFFFFFFFFFFFFFF
 
 
 # ----------------------------------------------------------------------
@@ -541,16 +521,9 @@ class ExecutorConfig:
 
     Attributes:
         jobs: Worker processes.  1 runs every level inline in this
-            process (no pool, no pickling of task specs) — handy for
-            debugging and for lambdas as circuit factories.
+            process (no worker pool, no pickling of task specs) —
+            handy for debugging and for lambdas as circuit factories.
         cache_dir: Result-cache directory; None disables caching.
-        use_cache: Master switch; False ignores ``cache_dir``.
-        derive_seeds: Re-seed each level's ATPG RNG from its cache key
-            instead of the configured seed.  Applied identically at
-            every job count, so parallel and serial runs stay
-            bit-identical; keyed into the cache so the modes never mix.
-        mp_context: ``multiprocessing`` start method (None = platform
-            default).
         trace: Have every worker record a span tree for its flow run
             (returned on ``FlowSummary.trace``), and the parent record
             per-level queue-wait/worker-run spans plus cache counters
@@ -605,9 +578,6 @@ class ExecutorConfig:
 
     jobs: int = 1
     cache_dir: Optional[str] = None
-    use_cache: bool = True
-    derive_seeds: bool = False
-    mp_context: Optional[str] = None
     trace: bool = False
     retries: int = 2
     task_timeout_s: Optional[float] = None
@@ -624,7 +594,7 @@ class ExecutorConfig:
     @property
     def cache(self) -> Optional[ResultCache]:
         """The configured cache, or None when caching is off."""
-        if self.cache_dir and self.use_cache:
+        if self.cache_dir:
             return ResultCache(self.cache_dir,
                                max_bytes=self.cache_max_bytes,
                                read_only=self.cache_read_only)
@@ -645,7 +615,7 @@ class ExecutorConfig:
         to track)."""
         if self.journal:
             return Path(self.journal)
-        if self.cache_dir and self.use_cache:
+        if self.cache_dir:
             return Path(self.cache_dir) / "journal.jsonl"
         return None
 
@@ -724,27 +694,6 @@ def _run_level(task: _LevelTask) -> FlowSummary:
     return summarize(result, cache_key=task.cache_key)
 
 
-def _prepare_attempt(task: _LevelTask, attempt: int,
-                     derive_seeds: bool) -> _LevelTask:
-    """The task spec to submit for ``attempt``.
-
-    Attempt 0 is the task as planned.  Retries re-stamp the attempt
-    number (faults and journals key on it) and, under
-    ``derive_seeds``, re-derive the ATPG seed from
-    ``derive_seed(cache_key, attempt)`` so a seed-sensitive failure is
-    not replayed verbatim.  Without ``derive_seeds`` the configured
-    seed is kept: retried cells stay bit-identical to a clean serial
-    run, which the resume/golden guarantees depend on.
-    """
-    if attempt == 0:
-        return task
-    flow = task.flow
-    if derive_seeds:
-        flow = replace(flow, atpg=replace(
-            flow.atpg, seed=derive_seed(task.cache_key, attempt)))
-    return replace(task, attempt=attempt, flow=flow)
-
-
 def _check_picklable(task: _LevelTask) -> None:
     """Fail early, with a pointed message, on unpicklable task specs."""
     try:
@@ -776,20 +725,13 @@ def _plan_levels(config: ExperimentConfig,
     for pct in config.tp_percents:
         flow = replace(config.flow, tp_percent=pct)
         circuit = config.circuit_factory()
-        key = flow_cache_key(
-            circuit, flow, library,
-            extra=f"derive_seeds={executor.derive_seeds}",
-        )
-        if executor.derive_seeds:
-            flow = replace(flow, atpg=replace(flow.atpg,
-                                              seed=derive_seed(key)))
         tasks.append(_LevelTask(
             name=config.name,
             tp_percent=pct,
             circuit_factory=config.circuit_factory,
             flow=flow,
             library=config.library,
-            cache_key=key,
+            cache_key=flow_cache_key(circuit, flow, library),
             trace=executor.trace,
             chaos=plan,
         ))
@@ -861,6 +803,28 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
             pass
 
 
+class _InlinePool:
+    """The ``jobs == 1`` pool: runs each task in the calling thread.
+
+    ``submit`` returns an already-completed future, so the scheduling
+    loop treats inline and pooled tasks alike.  ``run_flow`` therefore
+    runs in this process, where a caller's patch of this module's
+    ``run_flow`` sees it.
+    """
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True,
+                 cancel_futures: bool = False) -> None:
+        """Nothing to release: no worker ever started."""
+
+
 def _tear_cache_entry(cache: ResultCache, key: str) -> None:
     """Chaos helper: truncate a cache entry mid-bytes (a torn write)."""
     path = cache.path(key)
@@ -875,20 +839,25 @@ class _Scheduler:
     """Fault-tolerant execution of a sweep's pending level tasks.
 
     Owns the retry budget, the backoff clock, the watchdog, the pool
-    lifecycle and the journal trail.  Two execution modes share the
-    same retry/failure bookkeeping:
+    lifecycle and the journal trail, in one loop over one of two pool
+    kinds:
 
-    * **Serial** (``jobs <= 1``): tasks run inline; retries back off
-      with ``time.sleep``.  No watchdog — an inline run cannot preempt
-      itself.
-    * **Parallel**: tasks fan out over a :class:`ProcessPoolExecutor`.
-      A watchdog times out hung tasks by replacing the whole pool (a
-      hung worker cannot be cancelled), charging only the overdue
-      task's budget.  When a worker dies outright the pool breaks for
-      every in-flight future without naming a culprit, so the
-      implicated tasks are re-run **solo**: a task that breaks the
-      pool while running alone is the crasher beyond doubt and is the
-      only one charged; innocents pass through isolation unbilled.
+    * **Inline** (``jobs <= 1``): an :class:`_InlinePool` runs each
+      task in the calling thread and hands back a completed future.
+      Tasks are not pickled, and a task that fails waits out its
+      backoff behind the cells already queued, as in the process pool.
+      The watchdog, crash isolation and pool replacement never fire:
+      an inline run cannot hang past a deadline it is not watched
+      against, nor break a pool.
+    * **Process pool**: tasks fan out over a
+      :class:`ProcessPoolExecutor`.  A watchdog times out hung tasks
+      by replacing the whole pool (a hung worker cannot be cancelled),
+      charging only the overdue task's budget.  When a worker dies
+      outright the pool breaks for every in-flight future without
+      naming a culprit, so the implicated tasks are re-run **solo**: a
+      task that breaks the pool while running alone is the crasher
+      beyond doubt and is the only one charged; innocents pass through
+      isolation unbilled.
     """
 
     def __init__(self, pending: List[_LevelTask], executor: ExecutorConfig,
@@ -942,8 +911,8 @@ class _Scheduler:
         _record_level(self.tracer, task, summary, t_submit, t_done)
         self.summaries[(task.name, task.tp_percent)] = summary
         # Per-stage and per-cell latency histograms: the one place
-        # worker timings cross back into the parent, so serial and
-        # parallel sweeps aggregate identically (and cache hits never
+        # worker timings cross back into the parent, so inline and
+        # pooled sweeps aggregate identically (and cache hits never
         # pass through here, so they cannot pollute the distribution).
         for stage, seconds in summary.stage_seconds.items():
             obs.observe("repro_stage_seconds", seconds,
@@ -1033,82 +1002,35 @@ class _Scheduler:
         self._journal_event("task_aborted", task,
                             cancelled=self.cancelled)
 
-    # -- serial mode ----------------------------------------------------
-    def _backoff_sleep(self, delay: float) -> None:
-        """Sleep a retry backoff, polling for cancellation so a
-        cancelled sweep does not sit out a 30 s backoff first."""
-        if self.executor.cancel_check is None:
-            time.sleep(delay)
-            return
-        deadline = time.monotonic() + delay
-        while time.monotonic() < deadline:
-            self._check_cancel()
-            if self.cancelled:
-                return
-            time.sleep(min(0.05, max(0.0,
-                                     deadline - time.monotonic())))
+    # -- the scheduling loop --------------------------------------------
+    def _new_pool(self):
+        if self.executor.jobs <= 1:
+            return _InlinePool()
+        return ProcessPoolExecutor(max_workers=self.workers)
 
-    def run_serial(self) -> None:
-        """Inline execution with retry/backoff (no watchdog)."""
-        for task in self.pending:
-            self._check_cancel()
-            if self.aborted:
-                self._abort_cell(task)
-                continue
-            attempt = 0
-            while True:
-                prepared = _prepare_attempt(task, attempt,
-                                            self.executor.derive_seeds)
-                self._journal_event("task_start", task, attempt=attempt)
-                t_submit = time.time()
-                t_mono = time.monotonic()
-                try:
-                    summary = _run_level(prepared)
-                except Exception as exc:
-                    delay = self._on_task_error(task, attempt, exc)
-                    if delay is None:
-                        break
-                    self._backoff_sleep(delay)
-                    self._check_cancel()
-                    if self.aborted:
-                        self._abort_cell(task)
-                        break
-                    attempt += 1
-                    continue
-                self._success(task, attempt, summary, t_submit, time.time(),
-                              time.monotonic() - t_mono)
-                break
-
-    # -- parallel mode --------------------------------------------------
-    def _new_pool(self, ctx) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.workers,
-                                   mp_context=ctx)
-
-    def _submit(self, pool: ProcessPoolExecutor, in_flight: Dict,
-                task: _LevelTask, attempt: int, solo: bool) -> None:
-        prepared = _prepare_attempt(task, attempt,
-                                    self.executor.derive_seeds)
+    def _submit(self, pool, in_flight: Dict, task: _LevelTask,
+                attempt: int, solo: bool) -> None:
         self._journal_event("task_start", task, attempt=attempt,
                             solo=solo)
-        future = pool.submit(_run_level, prepared)
-        in_flight[future] = (task, attempt, time.time(),
-                             time.monotonic(), solo)
+        t_wall, t_mono = time.time(), time.monotonic()
+        # Retries re-stamp the attempt number: faults key on it.
+        spec = replace(task, attempt=attempt) if attempt else task
+        future = pool.submit(_run_level, spec)
+        in_flight[future] = (task, attempt, t_wall, t_mono, solo)
 
-    def run_parallel(self) -> None:
-        """Pool execution with retries, watchdog, and crash isolation."""
-        for task in self.pending:
-            _check_picklable(task)
-        import multiprocessing
-
-        ctx = (multiprocessing.get_context(self.executor.mp_context)
-               if self.executor.mp_context else None)
-        self.workers = min(self.executor.jobs, len(self.pending))
+    def run(self) -> None:
+        """Run every pending task with retries, the watchdog, and crash
+        isolation (the last two only matter in a process pool)."""
+        if self.executor.jobs > 1:
+            for task in self.pending:
+                _check_picklable(task)
+        self.workers = max(1, min(self.executor.jobs, len(self.pending)))
         timeout = self.executor.task_timeout_s
         queue: deque = deque((task, 0) for task in self.pending)
         isolate: deque = deque()  # suspects to re-run solo
         waiting: List[Tuple[float, _LevelTask, int, bool]] = []
         in_flight: Dict = {}
-        pool = self._new_pool(ctx)
+        pool = self._new_pool()
         try:
             while queue or isolate or waiting or in_flight:
                 self._check_cancel()
@@ -1206,7 +1128,7 @@ class _Scheduler:
                         broken_tasks.append((task, attempt, solo))
                     in_flight.clear()
                     _terminate_pool(pool)
-                    pool = self._new_pool(ctx)
+                    pool = self._new_pool()
                     for task, attempt, solo in broken_tasks:
                         if solo:
                             # Ran alone when the pool broke: guilty.
@@ -1240,7 +1162,7 @@ class _Scheduler:
                         victims = list(in_flight.items())
                         in_flight.clear()
                         _terminate_pool(pool)
-                        pool = self._new_pool(ctx)
+                        pool = self._new_pool()
                         for future, (task, attempt, _tw, _tm, solo) in \
                                 victims:
                             if future in overdue:
@@ -1305,7 +1227,7 @@ def run_sweeps_report(
     started_at = time.time()
     started_mono = time.monotonic()
     # Correlation key for the structured event log: every event this
-    # sweep emits (and, via bind, every flow stage event on the serial
+    # sweep emits (and, via bind, every flow stage event on the inline
     # path) carries the same run_id.  Pure telemetry — never part of a
     # cache key.
     run_id = uuid.uuid4().hex[:12]
@@ -1365,10 +1287,7 @@ def run_sweeps_report(
             scheduler = _Scheduler(pending, executor, cache, tracer,
                                    journal, plan)
             if pending:
-                if executor.jobs <= 1:
-                    scheduler.run_serial()
-                else:
-                    scheduler.run_parallel()
+                scheduler.run()
             summaries.update(scheduler.summaries)
             failures = sorted(scheduler.failures,
                               key=lambda f: (f.name, f.tp_percent))
@@ -1465,16 +1384,3 @@ def run_sweeps(
         ])
     return report.results
 
-
-def run_sweep(
-    config: ExperimentConfig,
-    executor: Optional[ExecutorConfig] = None,
-) -> ExperimentResult:
-    """Run one circuit's sweep through the parallel executor.
-
-    Drop-in for :func:`~repro.core.experiment.run_experiment`: the
-    returned object builds the same Table 1/2/3 rows, with
-    :class:`FlowSummary` values in ``runs`` instead of full
-    :class:`~repro.core.flow.FlowResult` objects.
-    """
-    return run_sweeps([config], executor)[config.name]

@@ -177,23 +177,26 @@ def pack_rules(pack: str) -> List[Rule]:
 class LintError(ValueError):
     """Raised when a lint gate finds error-severity diagnostics.
 
-    The full :class:`LintReport` stays reachable via :attr:`report`
-    (and the legacy :attr:`diagnostics` alias), so callers never lose
-    findings to message truncation.
+    The full :class:`LintReport` stays reachable via :attr:`report`,
+    so callers never lose findings to message truncation.  The error
+    pickles with its report, so a lint gate that fails in a sweep
+    worker reaches the parent intact.
     """
 
     def __init__(self, report: "LintReport", context: str = "lint"):
         self.report = report
-        self.diagnostics = report.error_diagnostics
+        self.context = context
+        errors = report.error_diagnostics
         shown = "; ".join(
-            f"[{d.rule_id}] {d.message}" for d in self.diagnostics[:5]
+            f"[{d.rule_id}] {d.message}" for d in errors[:5]
         )
-        more = (f" (+{len(self.diagnostics) - 5} more)"
-                if len(self.diagnostics) > 5 else "")
+        more = f" (+{len(errors) - 5} more)" if len(errors) > 5 else ""
         super().__init__(
-            f"{context} failed: {len(self.diagnostics)} error(s): "
-            f"{shown}{more}"
+            f"{context} failed: {len(errors)} error(s): {shown}{more}"
         )
+
+    def __reduce__(self):
+        return type(self), (self.report, self.context)
 
 
 @dataclass

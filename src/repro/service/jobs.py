@@ -626,8 +626,7 @@ class JobManager:
         request = job.request
         return ExecutorConfig(
             jobs=request.jobs,
-            cache_dir=str(self.cache_dir),
-            use_cache=self.use_cache,
+            cache_dir=str(self.cache_dir) if self.use_cache else None,
             cache_max_bytes=self.cache_max_bytes,
             retries=request.retries,
             task_timeout_s=request.task_timeout_s,

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import EXIT_LINT, main
+from repro.core import flow as flow_mod
+from repro.lint import ERROR, Diagnostic, LintReport
 from repro.obs import validate_chrome_trace
+from tests.sweep_checks import check_trace
 
 
 def test_flow_command(capsys):
@@ -158,14 +161,30 @@ def test_flow_trace_writes_valid_chrome_trace(tmp_path, capsys):
 def test_sweep_trace_merges_levels_into_one_file(tmp_path, capsys):
     trace_path = tmp_path / "sweep.json"
     rc = main(["sweep", "--circuit", "s38417", "--scale", "0.01",
-               "--tp-percents", "0,2", "--trace", str(trace_path)])
+               "--tp-percents", "0,2", "--jobs", "1",
+               "--trace", str(trace_path)])
     assert rc == 0
-    obj = json.loads(trace_path.read_text())
-    assert validate_chrome_trace(obj) == []
-    names = {e["name"] for e in obj["traceEvents"]}
-    assert "tpi_scan" in names and "atpg" in names
+    check_trace(trace_path)  # the check CI applies to its pooled sweep
     out = capsys.readouterr().out
     assert "Stage runtimes" in out
+
+
+def _failing_lint(circuit, **kwargs):
+    return LintReport(diagnostics=[Diagnostic(
+        rule_id="NL001", severity=ERROR, message="injected lint error")])
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_lint_failure_exits_4(jobs, tmp_path, monkeypatch, capsys):
+    # Forked pool workers inherit the patched gate.
+    monkeypatch.setattr(flow_mod, "lint_netlist", _failing_lint)
+    rc = main(["sweep", "--circuit", "s38417", "--scale", "0.01",
+               "--tp-percents", "0,2", "--lint", "--jobs", jobs,
+               "--cache-dir", str(tmp_path / "cache")])
+    assert rc == EXIT_LINT
+    out = capsys.readouterr().out
+    assert "FAILED cells (2" in out
+    assert "injected lint error" in out
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 The headline test is the determinism regression gate: the s38417-small
 sweep run serially (the reference semantics) and through the executor
-with ``jobs=4`` must produce *exactly* equal Table 1/2/3 rows — not
-approximately equal: the executor's contract is bit-identical results
-at any job count.
+inline (``jobs=1``) and with ``jobs=4`` must produce *exactly* equal
+Table 1/2/3 rows — not approximately equal: the executor's contract is
+bit-identical results at any job count.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import pickle
 
 import pytest
 
+from repro import api
 from repro.atpg import AtpgConfig
 from repro.circuits import s38417_like
 from repro.core import (
@@ -26,11 +27,9 @@ from repro.core import (
     SweepExecutionError,
     circuit_structural_hash,
     config_fingerprint,
-    derive_seed,
     flow_cache_key,
     run_experiment,
     run_flow,
-    run_sweep,
     run_sweeps,
     summarize,
 )
@@ -75,27 +74,33 @@ def sweep_cache_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def parallel_result(sweep_cache_dir):
     """The same sweep through the executor: 4 workers, cold cache."""
-    return run_sweep(
-        small_experiment(),
+    return run_sweeps(
+        [small_experiment()],
         ExecutorConfig(jobs=4, cache_dir=sweep_cache_dir),
-    )
+    )["s38417"]
 
 
 @pytest.fixture(scope="module")
 def warm_result(parallel_result, sweep_cache_dir):
     """Second invocation against the now-warm cache."""
-    return run_sweep(
-        small_experiment(),
+    return run_sweeps(
+        [small_experiment()],
         ExecutorConfig(jobs=4, cache_dir=sweep_cache_dir),
-    )
+    )["s38417"]
 
 
 # ----------------------------------------------------------------------
 # Determinism regression gate (the tentpole's correctness test)
 # ----------------------------------------------------------------------
-def test_parallel_sweep_is_bit_identical_to_serial(serial_result,
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_parallel_sweep_is_bit_identical_to_serial(jobs, serial_result,
                                                    parallel_result):
-    assert table_dicts(serial_result) == table_dicts(parallel_result)
+    if jobs == 4:
+        result = parallel_result
+    else:
+        result = run_sweeps([small_experiment()],
+                            ExecutorConfig(jobs=jobs))["s38417"]
+    assert table_dicts(serial_result) == table_dicts(result)
 
 
 def test_parallel_sweep_ran_in_worker_processes(parallel_result):
@@ -128,14 +133,13 @@ def test_warm_cache_reruns_no_flow_stage(warm_result):
 
 
 def test_no_cache_flag_forces_fresh_runs(sweep_cache_dir):
-    config = small_experiment()
     # Layout-off, single level: cheap, and its key differs from the
     # cached full-flow levels anyway.
-    config.tp_percents = (0.0,)
-    config.flow = FlowConfig(atpg=FAST_ATPG, run_layout_phase=False)
-    executor = ExecutorConfig(jobs=1, cache_dir=sweep_cache_dir,
-                              use_cache=False)
-    result = run_sweep(config, executor)
+    result = api.sweep(
+        small_experiment().circuit_factory,
+        config=FlowConfig(atpg=FAST_ATPG, run_layout_phase=False),
+        tp_percents=(0.0,), cache_dir=sweep_cache_dir, use_cache=False,
+    )
     assert not result.runs[0.0].from_cache
 
 
@@ -178,10 +182,6 @@ def test_cache_key_covers_circuit_config_and_mode():
     key = flow_cache_key(circuit, config, lib)
     assert key == flow_cache_key(s38417_like(scale=SCALE), config, lib)
     assert key != flow_cache_key(circuit, FlowConfig(tp_percent=2.0), lib)
-    assert key != flow_cache_key(circuit, config, lib, extra="derived")
-    seed = derive_seed(key)
-    assert 0 <= seed < 2 ** 63
-    assert seed == derive_seed(key)
 
 
 # ----------------------------------------------------------------------
@@ -331,12 +331,13 @@ def test_failed_levels_resume_from_cache(tmp_path, monkeypatch):
 
     monkeypatch.setattr(executor_mod, "run_flow", failing_run_flow)
     with pytest.raises(SweepExecutionError) as excinfo:
-        run_sweep(config, ExecutorConfig(jobs=1, cache_dir=cache_dir))
+        run_sweeps([config], ExecutorConfig(jobs=1, cache_dir=cache_dir))
     assert [(n, p) for n, p, _ in excinfo.value.failures] == [("s38417", 2.0)]
 
     # The healthy levels were cached before the failure surfaced ...
     monkeypatch.setattr(executor_mod, "run_flow", real_run_flow)
-    result = run_sweep(config, ExecutorConfig(jobs=1, cache_dir=cache_dir))
+    result = run_sweeps([config],
+                        ExecutorConfig(jobs=1, cache_dir=cache_dir))["s38417"]
     assert result.runs[0.0].from_cache and result.runs[4.0].from_cache
     # ... and only the failed level ran fresh on the retry.
     assert not result.runs[2.0].from_cache
@@ -350,11 +351,11 @@ def test_unpicklable_factory_fails_with_pointed_message():
         flow=FlowConfig(atpg=FAST_ATPG, run_layout_phase=False),
     )
     with pytest.raises(TypeError, match="functools.partial"):
-        run_sweep(config, ExecutorConfig(jobs=2))
+        run_sweeps([config], ExecutorConfig(jobs=2))
 
 
 # ----------------------------------------------------------------------
-# Multi-circuit fan-out and derived seeding
+# Multi-circuit fan-out
 # ----------------------------------------------------------------------
 def test_run_sweeps_fans_out_whole_circuits():
     flow = FlowConfig(atpg=FAST_ATPG, run_layout_phase=False)
@@ -374,24 +375,6 @@ def test_run_sweeps_fans_out_whole_circuits():
     keys_a = {r.cache_key for r in results["tiny_a"].runs.values()}
     keys_b = {r.cache_key for r in results["tiny_b"].runs.values()}
     assert len(keys_a | keys_b) == 4  # every level's key is distinct
-
-
-def test_derived_seeds_stay_parallel_serial_identical():
-    def experiment():
-        return ExperimentConfig(
-            name="s38417",
-            circuit_factory=functools.partial(s38417_like, scale=0.01),
-            tp_percents=(0.0, 2.0),
-            flow=FlowConfig(atpg=FAST_ATPG, run_layout_phase=False),
-        )
-
-    serial = run_sweep(experiment(),
-                       ExecutorConfig(jobs=1, derive_seeds=True))
-    parallel = run_sweep(experiment(),
-                         ExecutorConfig(jobs=2, derive_seeds=True))
-    serial_rows = [r.test_metrics() for _, r in sorted(serial.runs.items())]
-    par_rows = [r.test_metrics() for _, r in sorted(parallel.runs.items())]
-    assert serial_rows == par_rows
 
 
 # ----------------------------------------------------------------------

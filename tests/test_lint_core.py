@@ -148,7 +148,7 @@ def test_raise_on_error_keeps_full_list_and_rule_ids():
     assert "[T001]" in str(err)
     assert "(+3 more)" in str(err)
     assert isinstance(err, ValueError)
-    assert len(err.diagnostics) == 8
+    assert len(err.report.error_diagnostics) == 8
     assert err.report is report
 
 

@@ -198,7 +198,8 @@ def test_corrupted_netlist_caught_by_pre_route_gate(lib, monkeypatch):
         ))
     err = excinfo.value
     assert "lint gate 'pre_route'" in str(err)
-    assert any(d.rule_id == "DFT004" for d in err.diagnostics)
+    assert any(d.rule_id == "DFT004"
+               for d in err.report.error_diagnostics)
 
 
 def test_lint_gate_spans_stay_nested(lib):

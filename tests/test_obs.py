@@ -30,7 +30,7 @@ from repro.core import (
     STAGE_KEYS,
     format_stage_seconds,
     run_flow,
-    run_sweep,
+    run_sweeps,
 )
 from repro.library import cmos130
 from repro.obs.tracer import Span, Trace
@@ -277,8 +277,8 @@ def test_tracing_does_not_change_results():
 # ----------------------------------------------------------------------
 def test_traced_sweep_ships_worker_traces_and_parent_spans():
     with obs.tracing(label="sweep") as tracer:
-        result = run_sweep(small_experiment(),
-                           ExecutorConfig(jobs=1, trace=True))
+        result = run_sweeps([small_experiment()],
+                            ExecutorConfig(jobs=1, trace=True))["s38417"]
     sched = tracer.trace()
     for run in result.runs.values():
         assert run.trace is not None
@@ -294,7 +294,8 @@ def test_traced_sweep_ships_worker_traces_and_parent_spans():
 
 
 def test_untraced_sweep_ships_no_traces():
-    result = run_sweep(small_experiment(), ExecutorConfig(jobs=1))
+    result = run_sweeps([small_experiment()],
+                        ExecutorConfig(jobs=1))["s38417"]
     assert all(run.trace is None for run in result.runs.values())
 
 
@@ -306,12 +307,12 @@ def test_traced_sweep_hits_untraced_cache(tmp_path):
     epoch would be stale) but keep their recorded stage timings.
     """
     cache_dir = str(tmp_path / "cache")
-    run_sweep(small_experiment(),
-              ExecutorConfig(jobs=1, cache_dir=cache_dir))
+    run_sweeps([small_experiment()],
+               ExecutorConfig(jobs=1, cache_dir=cache_dir))
     with obs.tracing(label="warm") as tracer:
-        warm = run_sweep(small_experiment(),
-                         ExecutorConfig(jobs=1, cache_dir=cache_dir,
-                                        trace=True))
+        warm = run_sweeps([small_experiment()],
+                          ExecutorConfig(jobs=1, cache_dir=cache_dir,
+                                         trace=True))["s38417"]
     assert all(run.from_cache for run in warm.runs.values())
     assert all(run.trace is None for run in warm.runs.values())
     for run in warm.runs.values():
