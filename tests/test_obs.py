@@ -367,6 +367,11 @@ def test_validate_chrome_trace_more_rejections():
     assert len(problems) == 1 and "traceEvents[1]" in problems[0]
 
 
+#: Counters PODEM adds to the open span, once per ``generate`` call.
+PODEM_COUNTERS = ("podem.decisions", "podem.implications",
+                  "podem.region_cache_hits", "podem.region_cache_misses")
+
+
 def test_null_tracer_zero_overhead_invariant():
     """The disabled path allocates nothing: every call on the null
     tracer hands back the same shared singletons."""
@@ -386,3 +391,51 @@ def test_null_tracer_zero_overhead_invariant():
         sp.gauge("g", 1.0)
     assert sp.counters == {} and sp.gauges == {}
     assert sp.duration_s == 0.0 and sp.children == []
+    # PODEM's per-call counters are swallowed the same way.
+    for name in PODEM_COUNTERS:
+        assert tracer.counter(name, 3.0) is None
+        assert obs.counter(name, 3.0) is None
+    assert tracer.trace() is None and tracer.mark() == 0
+
+
+
+def test_podem_counters_emitted_once_per_call(monkeypatch):
+    """With tracing off PODEM's counters go to the null tracer once per
+    ``generate`` call, never per decision."""
+    from repro.atpg import PodemEngine, build_fault_list
+    from repro.netlist import extract_comb_view
+
+    tracer = obs.NULL_TRACER
+    circuit = s38417_like(scale=0.01)
+    view = extract_comb_view(circuit, "test")
+    faults = build_fault_list(circuit, view).targets()[:6]
+    podem = PodemEngine(view, backtrack_limit=32)
+    emitted = []
+    monkeypatch.setattr(tracer, "counter",
+                        lambda name, delta=1.0: emitted.append(name),
+                        raising=False)
+    for fault in faults:
+        podem.generate(fault)
+    assert emitted == list(PODEM_COUNTERS) * len(faults)
+
+
+def test_podem_counters_land_on_the_open_span():
+    from repro.atpg import PodemEngine, build_fault_list
+    from repro.netlist import extract_comb_view
+
+    circuit = s38417_like(scale=0.01)
+    view = extract_comb_view(circuit, "test")
+    faults = build_fault_list(circuit, view).targets()[:6]
+    podem = PodemEngine(view, backtrack_limit=32)
+    with obs.tracing("podem") as tracer:
+        with obs.span("podem"):
+            for fault in faults * 2:
+                podem.generate(fault)
+    (span,) = tracer.trace().spans
+    counters = span.counters
+    assert counters["podem.decisions"] > 0
+    assert counters["podem.implications"] > counters["podem.decisions"]
+    # The second pass over the same faults hits the region cache.
+    assert counters["podem.region_cache_hits"] >= len(faults)
+    assert (counters["podem.region_cache_hits"]
+            + counters["podem.region_cache_misses"]) == 2 * len(faults)
