@@ -34,6 +34,7 @@ from repro.service import (
     SweepRequest,
 )
 from repro.service.protocol import canonical_result_bytes
+from tests.sweep_checks import check_job_trace, check_prom
 
 #: Cheap ATPG knobs, matching tests/test_executor.py's FAST_ATPG.
 ATPG = {"seed": 7, "backtrack_limit": 24, "max_deterministic": 60,
@@ -307,7 +308,7 @@ def test_job_listing_covers_submissions(client):
 # ----------------------------------------------------------------------
 # Telemetry: Prometheus scrape, content negotiation, traces
 # ----------------------------------------------------------------------
-def test_prom_scrape_is_valid_and_has_stage_histogram(client):
+def test_prom_scrape_is_valid_and_has_stage_histogram(client, tmp_path):
     from repro import obs
 
     record = submit(client, (0.0, 2.0))  # warm cache: fast
@@ -316,6 +317,9 @@ def test_prom_scrape_is_valid_and_has_stage_histogram(client):
 
     text = client.metrics_prom()
     assert obs.validate_exposition(text) == []
+    scrape = tmp_path / "metrics.prom"
+    scrape.write_text(text, encoding="utf-8")
+    check_prom(scrape)  # the check CI applies to its daemon's scrape
     # Per-stage latency histogram with stage labels, the headline
     # family the CI scrape job asserts on.
     assert "# TYPE repro_stage_seconds histogram" in text
@@ -364,7 +368,7 @@ def test_metrics_content_negotiation(daemon, client):
     assert status == 200 and "text/plain" in ctype
 
 
-def test_traced_job_yields_merged_chrome_trace(client):
+def test_traced_job_yields_merged_chrome_trace(client, tmp_path):
     from repro import obs
 
     # Fresh levels: cache hits drop stored traces by design, so the
@@ -375,6 +379,9 @@ def test_traced_job_yields_merged_chrome_trace(client):
 
     merged = client.trace(record.id)
     assert obs.validate_chrome_trace(merged) == []
+    trace_file = tmp_path / "job-trace.json"
+    trace_file.write_text(json.dumps(merged), encoding="utf-8")
+    check_job_trace(trace_file)  # the check CI applies to its job trace
     events = merged["traceEvents"]
     # The job's own track (queue_wait + run) plus at least one worker
     # process: distinct virtual pids, stable from 1.
