@@ -13,9 +13,11 @@ from repro.atpg.threeval import (
     XOR_TABLE,
     ZERO,
     compile_node3,
+    compile_pair,
     decode,
     encode,
     eval3_encoded,
+    pair_code,
 )
 from repro.library.logic import And, Mux, Not, Or, Var, Xor
 
@@ -102,3 +104,19 @@ def test_compiled_never_produces_invalid_codes(vals):
     expr = Or(And("A", "B"), Not("C"))
     fn = compile_node3(expr, {"A": 0, "B": 1, "C": 2})
     assert fn(vals) in VALUES
+
+
+@pytest.mark.parametrize("expr,pins", EXPRS)
+def test_pair_code_evaluates_both_machines_at_once(expr, pins):
+    """A pair-coded evaluation equals two three-valued ones, and its
+    good-only form equals the good machine's."""
+    fn3 = compile_node3(expr, {p: i for i, p in enumerate(pins)})
+    code = {p: f"v[{i}]" for i, p in enumerate(pins)}
+    fn = compile_pair(expr, code)
+    good_fn = compile_pair(expr, code, good_only=True)
+    for good in itertools.product(VALUES, repeat=len(pins)):
+        for faulty in itertools.product(VALUES, repeat=len(pins)):
+            pairs = [pair_code(g, f) for g, f in zip(good, faulty)]
+            want = pair_code(fn3(list(good)), fn3(list(faulty)))
+            assert fn(pairs) == want, (good, faulty)
+            assert good_fn(pairs) == fn3(list(good))
