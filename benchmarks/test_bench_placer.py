@@ -2,15 +2,14 @@
 
 Two artifacts land in ``benchmarks/out/``:
 
-* ``BENCH_placer_stages.json`` — a ``repro.obs.benchtrack`` stage
-  record of the default (quadratic) engine, with two extra sections:
-  the same sweep under the ``"sa"`` engine, and the ``solver``
+* ``BENCH_placer_stages.json`` — per-stage wall seconds of a serial,
+  cache-cold sweep under each engine (``quadratic`` and ``"sa"``,
+  summed over cells), plus the ``solver``
   microbench quantifying the numpy acceleration of the quadratic
   global place (the spring system is assembled once and reused across
-  all four Gordian rounds instead of being rebuilt per round).  The
-  top-level record is benchtrack-comparable: CI gates it with
-  ``python -m repro.obs.benchtrack compare`` (self + inflated copy,
-  never across machines).
+  all four Gordian rounds instead of being rebuilt per round).
+  Config-safe per-stage comparisons between two checkouts are
+  ``python3 perfbench/run.py --compare A B``.
 * ``placer_engines.txt`` — the per-engine wirelength/runtime summary.
 
 The speedup assertion is deliberately loose (cached assembly must not
@@ -24,16 +23,36 @@ import json
 import time
 
 from conftest import write_artifact
+from repro import api
 from repro.circuits import s38417_like
 from repro.layout import build_floorplan, get_placer, placement_seed
 from repro.layout import placement as placement_mod
-from repro.obs import benchtrack as bt
 
 #: Fast ATPG knobs: bench the layout stages, not PODEM.
 FAST_ATPG = {"seed": 7, "backtrack_limit": 24, "max_deterministic": 60,
              "abort_recovery_blocks": 4, "second_chance_factor": 1}
 
 SOLVER_SCALE = 0.15  # ~4k cells: assembly dominates at this size
+STAGE_SCALE = 0.01
+STAGE_TP_PERCENTS = (0.0, 2.0)
+
+
+def _stage_record(placer: str) -> dict:
+    """Per-stage seconds of a serial, cache-cold sweep under ``placer``.
+
+    Serial and uncached so the seconds are compute, not scheduling or
+    cache hits.
+    """
+    report = api.sweep_report(
+        "s38417", scale=STAGE_SCALE, tp_percents=STAGE_TP_PERCENTS,
+        jobs=1, use_cache=False, atpg=FAST_ATPG, placer=placer)
+    assert not report.failures, [f.label for f in report.failures]
+    stages: dict = {}
+    for result in report.results.values():
+        for summary in result.runs.values():
+            for key, value in summary.stage_seconds.items():
+                stages[key] = stages.get(key, 0.0) + value
+    return {"stages": stages, "wall_s": sum(stages.values())}
 
 
 def _solver_microbench() -> dict:
@@ -77,23 +96,21 @@ def test_placer_stage_record(out_dir):
     assert (solver["global_place_cached_s"]
             <= solver["global_place_reassembling_s"] * 1.25)
 
-    quad = bt.record_stages("s38417", scale=0.01,
-                            tp_percents=(0.0, 2.0), atpg=FAST_ATPG)
-    sa = bt.record_stages("s38417", scale=0.01, tp_percents=(0.0, 2.0),
-                          atpg=FAST_ATPG, placer="sa")
-    assert quad["placer"] == "quadratic" and sa["placer"] == "sa"
-    # Self-comparison always passes: the committed record stays usable
-    # as a benchtrack compare operand.
-    assert bt.check_regressions(quad, quad) == []
-
-    record = dict(quad)
-    record["sa"] = {"stages": sa["stages"], "wall_s": sa["wall_s"]}
-    record["solver"] = solver
+    quad = _stage_record("quadratic")
+    sa = _stage_record("sa")
+    record = {
+        "circuit": "s38417",
+        "scale": STAGE_SCALE,
+        "tp_percents": list(STAGE_TP_PERCENTS),
+        "atpg": FAST_ATPG,
+        "engines": {"quadratic": quad, "sa": sa},
+        "solver": solver,
+    }
     write_artifact(out_dir, "BENCH_placer_stages.json",
                    json.dumps(record, indent=1, sort_keys=True) + "\n")
 
     lines = [
-        f"placement engines, s38417 scale=0.01 tp=(0,2):",
+        f"placement engines, s38417 scale={STAGE_SCALE} tp=(0,2):",
         f"  quadratic: floorplan_place "
         f"{quad['stages'].get('floorplan_place', 0.0):.3f}s "
         f"(wall {quad['wall_s']:.2f}s)",

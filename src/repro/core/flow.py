@@ -24,8 +24,9 @@ from __future__ import annotations
 import dataclasses
 import difflib
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, Iterator, List, Mapping, Optional
 
 from repro import chaos, obs
 from repro.atpg.engine import AtpgConfig, AtpgResult, run_atpg
@@ -72,13 +73,7 @@ STAGE_KEYS = (
 )
 
 #: Stage keys recorded only when ``run_layout_phase`` is on.
-LAYOUT_STAGE_KEYS = (
-    "floorplan_place",
-    "scan_reorder",
-    "eco_cts_route",
-    "extraction",
-    "sta",
-)
+LAYOUT_STAGE_KEYS = STAGE_KEYS[1:-1]
 
 
 def _reject_unknown_keys(given: Mapping[str, Any], known: List[str],
@@ -352,17 +347,23 @@ def _lint_gate(circuit: Circuit, config: FlowConfig, result: FlowResult,
     report.raise_on_error(context=f"lint gate {stage!r}")
 
 
-def _record_stage(result: "FlowResult", stage: str,
-                  seconds: float) -> None:
-    """Store one stage's wall seconds and emit its completion event.
+@contextmanager
+def _stage(result: FlowResult, key: str) -> Iterator[Any]:
+    """Run one Figure 2 stage under its span and chaos checkpoint.
 
-    The event rides the process-wide log (no-op by default) and
-    inherits whatever correlation context the caller bound (run_id,
-    job_id, cell), so per-stage telemetry lines up with the executor's
-    task lifecycle without threading ids through the flow.
+    On success the stage's wall seconds land in
+    ``result.stage_seconds[key]`` and a ``stage_done`` event rides the
+    process-wide log (no-op by default), inheriting whatever
+    correlation context the caller bound (run_id, job_id, cell).  A
+    stage that raises records neither.
     """
-    result.stage_seconds[stage] = seconds
-    obs.emit("stage_done", stage=stage, seconds=seconds,
+    t0 = time.perf_counter()
+    with obs.span(key) as sp:
+        chaos.checkpoint(key)
+        yield sp
+    seconds = time.perf_counter() - t0
+    result.stage_seconds[key] = seconds
+    obs.emit("stage_done", stage=key, seconds=seconds,
              tp_percent=result.config.tp_percent)
 
 
@@ -381,14 +382,11 @@ def run_flow(circuit: Circuit, library: Library,
     """
     config = config or FlowConfig()
     result = FlowResult(circuit=circuit, config=config)
-    clock = time.perf_counter
     tracer = obs.get_tracer()
     trace_mark = tracer.mark()
 
     # -- Step 1: TPI & scan insertion -----------------------------------
-    t0 = clock()
-    with obs.span("tpi_scan") as sp:
-        chaos.checkpoint("tpi_scan")
+    with _stage(result, "tpi_scan") as sp:
         n_ff_before = circuit.num_flip_flops
         n_tp = round(config.tp_percent / 100.0 * n_ff_before)
         result.n_test_points = n_tp
@@ -408,9 +406,8 @@ def run_flow(circuit: Circuit, library: Library,
         result.drc = fix_electrical(circuit, library)
         sp.gauge("test_points", n_tp)
         sp.gauge("scan_chains", result.chains.n_chains)
-    _record_stage(result, "tpi_scan", clock() - t0)
     if config.validate_netlist:
-        validate(circuit).raise_on_error()
+        validate(circuit).raise_on_error(context="netlist validation")
     if config.lint:
         # Stage-0 gate: the freshly DFT-prepared netlist must pass the
         # full pack (loops, chain continuity/balance, clock domains)
@@ -422,14 +419,11 @@ def run_flow(circuit: Circuit, library: Library,
 
     # -- ATPG (on the reordered netlist, as in the paper) ----------------
     if config.run_atpg_phase:
-        t0 = clock()
-        with obs.span("atpg") as sp:
-            chaos.checkpoint("atpg")
+        with _stage(result, "atpg") as sp:
             result.atpg = run_atpg(circuit, config=config.atpg)
             sp.counter("patterns", result.atpg.n_patterns)
             sp.counter("aborted_faults", result.atpg.aborted)
             sp.counter("redundant_faults", result.atpg.redundant)
-        _record_stage(result, "atpg", clock() - t0)
     result.trace = tracer.capture(trace_mark)
     return result
 
@@ -437,12 +431,8 @@ def run_flow(circuit: Circuit, library: Library,
 def _layout_phase(circuit: Circuit, library: Library,
                   config: FlowConfig, result: FlowResult) -> None:
     """Steps 2-6 of the flow."""
-    clock = time.perf_counter
-
     # -- Step 2: floorplanning & placement -------------------------------
-    t0 = clock()
-    with obs.span("floorplan_place") as sp:
-        chaos.checkpoint("floorplan_place")
+    with _stage(result, "floorplan_place") as sp:
         # Reserve whitespace for the cells later ECO steps insert: clock
         # buffers (about 1.5x the leaf-cluster count) plus a hold/scan
         # buffer allowance.  Without the reserve, a 97%-utilisation
@@ -471,12 +461,9 @@ def _layout_phase(circuit: Circuit, library: Library,
         result.placement = placement
         sp.gauge("rows", plan.n_rows)
         sp.gauge("cells_placed", len(placement.positions))
-    _record_stage(result, "floorplan_place", clock() - t0)
 
     # -- Step 3: layout-driven scan-chain reordering ----------------------
-    t0 = clock()
-    with obs.span("scan_reorder") as sp:
-        chaos.checkpoint("scan_reorder")
+    with _stage(result, "scan_reorder") as sp:
         chains = result.chains
         assert chains is not None
         ff_positions = {
@@ -495,12 +482,9 @@ def _layout_phase(circuit: Circuit, library: Library,
         te_buffers = [n for n in circuit.instances
                       if n not in before_buffers]
         sp.counter("te_buffers", len(te_buffers))
-    _record_stage(result, "scan_reorder", clock() - t0)
 
     # -- Step 4: ECO, clock trees, fillers, routing -----------------------
-    t0 = clock()
-    with obs.span("eco_cts_route") as sp:
-        chaos.checkpoint("eco_cts_route")
+    with _stage(result, "eco_cts_route") as sp:
         if te_buffers:
             placer.eco_place(circuit, placement, te_buffers)
         trees = synthesize_all_clock_trees(
@@ -516,7 +500,7 @@ def _layout_phase(circuit: Circuit, library: Library,
             placer.eco_place(circuit, placement, new_buffers, hints=hints)
         sp.counter("clock_buffers", len(new_buffers))
         if config.validate_netlist:
-            validate(circuit).raise_on_error()
+            validate(circuit).raise_on_error(context="netlist validation")
         if config.lint:
             # Pre-route gate: last full-pack audit before routing, so a
             # netlist corrupted by the ECO / CTS edits above is caught
@@ -525,20 +509,14 @@ def _layout_phase(circuit: Circuit, library: Library,
         router = GlobalRouter(circuit, placement)
         result.congestion = router.route_all()
         result.routed = router.routed
-    _record_stage(result, "eco_cts_route", clock() - t0)
 
     # -- Step 5: extraction ----------------------------------------------
-    t0 = clock()
-    with obs.span("extraction") as sp:
-        chaos.checkpoint("extraction")
+    with _stage(result, "extraction") as sp:
         result.parasitics = extract_all(circuit, placement, result.routed)
         sp.counter("nets_extracted", len(result.parasitics))
-    _record_stage(result, "extraction", clock() - t0)
 
     # -- Step 6: STA (with hold-fix ECO loop) ------------------------------
-    t0 = clock()
-    with obs.span("sta") as sta_span:
-        chaos.checkpoint("sta")
+    with _stage(result, "sta") as sta_span:
         sta_state: Optional[StaState] = None
         if config.incremental_eco:
             result.sta, sta_state = run_sta_with_state(
@@ -578,6 +556,10 @@ def _layout_phase(circuit: Circuit, library: Library,
                                    nets=dirty_nets)
                     result.congestion = router.reroute(dirty_nets)
                     result.routed = router.routed
+                    # The rip-up pass may move overflow victims the
+                    # round never touched: their parasitics and
+                    # timing change too.
+                    dirty_nets = dirty_nets | router.rerouted
                     result.parasitics = extract_incremental(
                         circuit, placement, result.routed,
                         result.parasitics, dirty_nets,
@@ -608,14 +590,13 @@ def _layout_phase(circuit: Circuit, library: Library,
             sum(r.buffers_inserted for r in result.hold_fix_rounds),
         )
         sta_span.gauge("hold_violations_left", result.sta.hold_violations)
-    _record_stage(result, "sta", clock() - t0)
 
     # Fillers last: the hold-fix ECO needs the row gaps the fillers
     # would otherwise occupy.  Fillers have no pins, so routing and
     # timing are unaffected; only the area census reads them.
     result.filler = insert_fillers(circuit, placement, library)
     if config.validate_netlist:
-        validate(circuit).raise_on_error()
+        validate(circuit).raise_on_error(context="netlist validation")
 
 
 def _fix_hold_violations(circuit: Circuit, library: Library,

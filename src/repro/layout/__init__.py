@@ -3,8 +3,8 @@
 Global placement is a pluggable strategy: engines implement the
 :class:`Placer` protocol and live in the :data:`PLACERS` registry
 (``"quadratic"`` is the default, ``"sa"`` adds simulated-annealing
-detailed placement).  ``global_place`` remains importable for old
-callers; it is a thin shim over the registered ``"quadratic"`` engine.
+detailed placement).  ``global_place`` is the quadratic engine's
+global place as a plain function.
 """
 
 from repro.layout.cts import (
@@ -27,13 +27,17 @@ from repro.layout.floorplan import (
     build_floorplan,
 )
 from repro.layout.geometry import Point, Rect, hpwl, manhattan
-from repro.layout.placement import Placement, QuadraticPlacer, repack_row
+from repro.layout.placement import (
+    Placement,
+    QuadraticPlacer,
+    global_place,
+    repack_row,
+)
 from repro.layout.placer import (
     PLACERS,
     Placer,
     PlacerSpec,
     get_placer,
-    global_place,
     placement_seed,
     register_placer,
     require_placer,

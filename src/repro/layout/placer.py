@@ -10,8 +10,8 @@ one by name via ``FlowConfig.placer``.
 Two engines ship:
 
 * ``"quadratic"`` — the default Gordian-style analytic placer
-  (:class:`repro.layout.placement.QuadraticPlacer`); its results are
-  bit-identical to the historical ``global_place`` path.
+  (:class:`repro.layout.placement.QuadraticPlacer`), whose ``place``
+  is :func:`repro.layout.placement.global_place`.
 * ``"sa"`` — quadratic global placement followed by HPWL-driven
   simulated-annealing detailed placement
   (:class:`repro.layout.sa.SimulatedAnnealingPlacer`), deterministic
@@ -23,9 +23,6 @@ name, so the same (circuit, config) pair always places identically —
 in-process, across worker processes, and across machines.  No engine
 may touch process-global randomness or the wall clock (the
 determinism self-lint enforces this).
-
-Back-compat: ``global_place(circuit, plan)`` keeps working and now
-routes through the registered ``"quadratic"`` engine.
 """
 
 from __future__ import annotations
@@ -167,17 +164,6 @@ def placement_seed(circuit: Circuit, engine: str = "") -> int:
         h.update(name.encode("utf-8"))
         h.update(repr(net.driver).encode("utf-8"))
     return int(h.hexdigest()[:16], 16) & 0x7FFFFFFFFFFFFFFF
-
-
-def global_place(circuit: Circuit, plan: Floorplan,
-                 seed: int = 0) -> Placement:
-    """Back-compat shim: the historical one-call entry point.
-
-    Routes through the registered ``"quadratic"`` engine, so code that
-    imported ``global_place`` directly keeps the exact pre-strategy
-    behaviour.
-    """
-    return get_placer("quadratic").place(circuit, plan, seed=seed)
 
 
 def _register_builtin_engines() -> None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro import obs
 from repro.library.cell import ROW_HEIGHT_UM
@@ -130,6 +130,9 @@ class GlobalRouter:
         self.use_h: Dict[Tuple[int, int], float] = {}
         self.use_v: Dict[Tuple[int, int], float] = {}
         self.routed: Dict[str, RoutedNet] = {}
+        #: Nets whose routes the last :meth:`reroute` replaced: the
+        #: requested nets plus the overflow victims its rip-up moved.
+        self.rerouted: FrozenSet[str] = frozenset()
 
     # ------------------------------------------------------------------
     def _gcell(self, point: Point) -> Tuple[int, int]:
@@ -185,7 +188,8 @@ class GlobalRouter:
         is re-routed in sorted order — the same deterministic order
         :meth:`route_all` uses — against the congestion left by every
         untouched net.  A final rip-up pass repairs any overflow the
-        new routes introduced.
+        new routes introduced; it may move nets outside ``nets``, so
+        :attr:`rerouted` lists every net whose route changed.
 
         Args:
             nets: Net names to re-route (typically the circuit's dirty
@@ -206,6 +210,7 @@ class GlobalRouter:
             for name in todo:
                 self._route_net(name)
             sp.counter("rerouted_nets", len(todo))
+            moved = set(todo)
             for _ in range(rip_up_passes):
                 victims = self._overflowed_nets()
                 if not victims:
@@ -216,6 +221,8 @@ class GlobalRouter:
                     self._unroute(name)
                 for name in victims:
                     self._route_net(name)
+                moved.update(victims)
+            self.rerouted = frozenset(moved)
             report = self.report()
             sp.gauge("overflowed_edges", report.overflowed_edges)
             sp.gauge("max_utilization", report.max_utilization)

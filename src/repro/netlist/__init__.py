@@ -16,7 +16,7 @@ from repro.netlist.levelize import (
 from repro.netlist.net import PORT, Net, PinRef
 from repro.netlist.simulate import SequentialSimulator
 from repro.netlist.fanout import DrcReport, estimated_load_ff, fix_electrical, fix_fanout, upsize_drivers
-from repro.netlist.validate import ValidationReport, validate
+from repro.netlist.validate import validate
 from repro.netlist.verilog import from_verilog, to_verilog
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "fix_electrical",
     "fix_fanout",
     "upsize_drivers",
-    "ValidationReport",
     "extract_comb_view",
     "from_verilog",
     "to_verilog",

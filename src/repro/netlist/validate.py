@@ -4,72 +4,20 @@ Rewriting passes (TPI, scan stitching, ECO) edit the netlist in place;
 :func:`validate` is the cheap structural audit that catches a bad edit
 before it turns into a mysterious downstream failure.
 
-Since the introduction of :mod:`repro.lint`, the checks themselves live
-in the netlist rule pack (:mod:`repro.lint.netlist_rules`, the rules
-marked *structural*) and this module is a thin façade: it runs that
-subset through the shared engine and wraps the result in the
-historical :class:`ValidationReport` shape, whose ``errors`` /
-``warnings`` string lists many call sites still read.  New code should
-prefer the :class:`repro.lint.Diagnostic` view (:attr:`diagnostics`),
-which carries rule IDs, severities and fix hints.
+The checks themselves live in the netlist rule pack
+(:mod:`repro.lint.netlist_rules`, the rules marked *structural*);
+:func:`validate` runs that subset through the shared engine and
+returns its :class:`repro.lint.LintReport`, whose diagnostics carry
+rule IDs, severities and fix hints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
-
-from repro.lint.core import ERROR, LintReport, WARNING, Diagnostic
+from repro.lint.core import LintReport
 from repro.netlist.circuit import Circuit
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of a netlist validation pass.
-
-    Attributes:
-        report: The underlying engine report with full
-            :class:`~repro.lint.Diagnostic` findings.
-    """
-
-    report: LintReport = field(default_factory=LintReport)
-
-    @property
-    def diagnostics(self) -> List[Diagnostic]:
-        """All findings, most severe first."""
-        return self.report.diagnostics
-
-    @property
-    def errors(self) -> List[str]:
-        """Error messages (back-compat string view).
-
-        The full structured findings — rule IDs, objects, hints — stay
-        available via :attr:`diagnostics`.
-        """
-        return [d.message for d in self.report.error_diagnostics]
-
-    @property
-    def warnings(self) -> List[str]:
-        """Warning messages (back-compat string view)."""
-        return [d.message for d in self.report.warning_diagnostics]
-
-    @property
-    def ok(self) -> bool:
-        """True when no errors were found."""
-        return self.report.ok
-
-    def raise_on_error(self) -> None:
-        """Raise :class:`repro.lint.LintError` when errors are present.
-
-        The exception message lists the first few findings *with their
-        rule IDs*; the complete list stays reachable through the
-        exception's ``report`` / ``diagnostics`` attributes (and via
-        this report), so nothing is lost to message truncation.
-        """
-        self.report.raise_on_error(context="netlist validation")
-
-
-def validate(circuit: Circuit) -> ValidationReport:
+def validate(circuit: Circuit) -> LintReport:
     """Run the structural checks on ``circuit``.
 
     Checks (rule IDs from the netlist pack): every net driven exactly
@@ -85,6 +33,4 @@ def validate(circuit: Circuit) -> ValidationReport:
     """
     from repro.lint.netlist_rules import lint_netlist
 
-    return ValidationReport(
-        report=lint_netlist(circuit, structural_only=True)
-    )
+    return lint_netlist(circuit, structural_only=True)

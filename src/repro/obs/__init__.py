@@ -13,9 +13,7 @@ and the serving daemon, organised as four pillars (DESIGN.md §12):
 3. **Events** — :mod:`repro.obs.events` is a leveled JSONL event log
    with ``run_id``/``job_id``/cell correlation via :func:`bind`.
 4. **Aggregation** — :mod:`repro.obs.merge` stitches per-process
-   traces into one sweep-level trace with stable pid/tid mapping;
-   :mod:`repro.obs.benchtrack` tracks bench stage-runtime trajectories
-   and gates regressions.
+   traces into one sweep-level trace with stable pid/tid mapping.
 
 Everything is off by default and free when off: the process-wide
 tracer, registry and event log are shared null singletons until a

@@ -23,8 +23,8 @@ def _healthy(lib):
 def test_stale_driver_backreference_detected(lib):
     c = _healthy(lib)
     c.nets["n1"].driver = ("g", "A")  # wrong pin recorded
-    assert any("back-reference" in e or "driven" in e
-               for e in validate(c).errors)
+    assert any("back-reference" in d.message or "driven" in d.message
+               for d in validate(c).error_diagnostics)
 
 
 def test_stale_sink_backreference_detected(lib):
@@ -37,27 +37,30 @@ def test_stale_sink_backreference_detected(lib):
 def test_missing_driver_detected(lib):
     c = _healthy(lib)
     c.nets["n1"].driver = None
-    assert any("no driver" in e for e in validate(c).errors)
+    assert any("no driver" in d.message
+               for d in validate(c).error_diagnostics)
 
 
 def test_ghost_instance_detected(lib):
     c = _healthy(lib)
     del c.instances["g"]
     report = validate(c)
-    assert any("missing instance" in e for e in report.errors)
+    assert any("missing instance" in d.message
+               for d in report.error_diagnostics)
 
 
 def test_output_port_corruption_detected(lib):
     c = _healthy(lib)
     c.nets["q"].sinks.remove((PORT, "y"))
-    assert any("not a sink" in e for e in validate(c).errors)
+    assert any("not a sink" in d.message
+               for d in validate(c).error_diagnostics)
 
 
 def test_raise_on_error(lib):
     c = _healthy(lib)
     c.nets["n1"].driver = None
-    with pytest.raises(ValueError, match="validation failed"):
-        validate(c).raise_on_error()
+    with pytest.raises(ValueError, match="netlist validation failed"):
+        validate(c).raise_on_error(context="netlist validation")
 
 
 def test_flow_validation_catches_corruption(lib):
@@ -73,5 +76,5 @@ def test_flow_validation_catches_corruption(lib):
     )
     pin = victim.cell.input_pins[0]
     c.disconnect(victim.name, pin)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="netlist validation failed"):
         run_flow(c, lib, FlowConfig(run_atpg_phase=False))

@@ -24,7 +24,7 @@ def test_full_scale_flip_flop_counts(factory, ffs, tolerance):
     one_percent = round(0.01 * circuit.num_flip_flops)
     assert one_percent >= 16 * 0.9
     report = validate(circuit)
-    assert report.ok, report.errors[:3]
+    assert report.ok, report.error_diagnostics[:3]
 
 
 def test_full_scale_s38417_interface():

@@ -41,8 +41,8 @@ def test_generated_circuits_validate(lib):
     for factory in (s38417_like, control_core, dsp_core_p26909):
         c = factory(scale=0.02)
         report = validate(c)
-        assert report.ok, report.errors[:3]
-        assert not report.warnings  # no dangling nets
+        assert report.ok, report.error_diagnostics[:3]
+        assert not report.warning_diagnostics  # no dangling nets
 
 
 def test_depth_respects_target(lib):

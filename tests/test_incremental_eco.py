@@ -248,6 +248,33 @@ def test_incremental_flow_equivalent_to_full(tp_percent):
     assert inc.sta.slow_nodes == full.sta.slow_nodes
 
 
+def test_hold_fix_refreshes_rip_up_victims():
+    """Nets the re-route's rip-up pass moves get fresh parasitics.
+
+    On this case the hold-fix round's re-route pushes overflow victims
+    that are not in the round's dirty set onto new routes; the flow
+    must re-extract and re-time them as well.
+    """
+    circuit = s38417_like(scale=0.1, seed=38417)
+    config = FlowConfig(tp_percent=5.0, run_atpg_phase=False)
+    result = run_flow(circuit, cmos130(), config)
+    assert len(result.hold_fix_rounds) >= 1
+
+    full = extract_all(result.circuit, result.placement, result.routed)
+    assert set(full) == set(result.parasitics)
+    assert sorted(n for n in full
+                  if full[n] != result.parasitics[n]) == []
+
+    sta = run_sta(result.circuit, result.parasitics, config.sta)
+    assert sta.hold_violations == result.sta.hold_violations
+
+    def key(path):
+        return (path.domain, path.endpoint, path.startpoint,
+                path.total_ps, path.slack_ps)
+
+    assert key(sta.worst_path()) == key(result.sta.worst_path())
+
+
 # ----------------------------------------------------------------------
 # Budget clamp regression (the issue's underflow fix)
 # ----------------------------------------------------------------------

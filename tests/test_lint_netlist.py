@@ -6,7 +6,7 @@ import repro
 from repro import api, cli
 from repro.core import flow as flow_mod
 from repro.core.flow import FlowConfig, run_flow
-from repro.lint import LintError
+from repro.lint import LintError, LintReport
 from repro.lint.netlist_rules import lint_netlist, structural_rules
 from repro.netlist import Circuit, validate
 from repro.scan import insert_scan
@@ -122,28 +122,27 @@ def test_dirty_set_scoping_limits_structural_findings(lib):
 
 
 # ---------------------------------------------------------------------------
-# validate() facade back-compat
+# validate(): the structural subset as a LintReport
 
 
 def test_validate_reports_diagnostics_and_strings(lib):
     c = Circuit("broken")
     c.add_net("floating")
     report = validate(c)
+    assert isinstance(report, LintReport)
     assert not report.ok
-    assert any("no driver" in e for e in report.errors)
-    assert isinstance(report.errors[0], str)
+    assert any("no driver" in d.message for d in report.error_diagnostics)
     assert report.diagnostics[0].rule_id == "NL001"
-    with pytest.raises(ValueError, match="validation failed"):
-        report.raise_on_error()
     with pytest.raises(LintError) as excinfo:
-        report.raise_on_error()
+        report.raise_on_error(context="netlist validation")
+    assert "netlist validation failed" in str(excinfo.value)
     assert "[NL001]" in str(excinfo.value)
 
 
 def test_validate_runs_only_structural_rules(lib):
     # The between-steps audit must stay cheap: no chain walks, no
     # loop detection (run_flow's lint gates own those).
-    report = validate(_loop_circuit(lib)).report
+    report = validate(_loop_circuit(lib))
     structural_ids = {r.id for r in structural_rules()}
     assert set(report.rule_seconds) == structural_ids
     assert "DFT001" not in structural_ids

@@ -84,7 +84,7 @@ def test_split_net_moves_selected_sinks(lib):
     assert c.instances["g2"].conns["A"] == new_net.name
     # New net is undriven until the caller adds a driver.
     report = validate(c)
-    assert any("no driver" in e for e in report.errors)
+    assert any("no driver" in d.message for d in report.error_diagnostics)
 
 
 def test_split_net_moves_output_ports(lib):
@@ -141,7 +141,7 @@ def test_validate_catches_unconnected_pin(lib):
     c.add_net("n1")
     c.add_instance("g", lib["NAND2_X1"], {"A": "a", "Z": "n1"})
     report = validate(c)
-    assert any("g.B" in e for e in report.errors)
+    assert any("g.B" in d.message for d in report.error_diagnostics)
 
 
 def test_validate_catches_bad_clock_hookup(lib):
@@ -153,4 +153,4 @@ def test_validate_catches_bad_clock_hookup(lib):
                    {"D": "d", "CLK": "notclock", "Q": "q"})
     c.add_output("y", "q")
     report = validate(c)
-    assert any("clock pin" in e for e in report.errors)
+    assert any("clock pin" in d.message for d in report.error_diagnostics)

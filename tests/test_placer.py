@@ -1,4 +1,4 @@
-"""The ``Placer`` strategy API: registry, shim, seeds, config wiring."""
+"""The ``Placer`` strategy API: registry, seeds, config wiring."""
 
 from __future__ import annotations
 
@@ -75,7 +75,7 @@ def test_register_placer_round_trip():
         get_placer("null-test")
 
 
-# -- back-compat shim --------------------------------------------------
+# -- global_place is the quadratic engine ----------------------------
 
 
 def test_global_place_shim_matches_engine(circuit):

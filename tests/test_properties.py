@@ -36,7 +36,7 @@ def profiles(draw):
 def test_generated_circuits_always_validate(profile, seed):
     circuit = generate(profile, cmos130(), seed=seed)
     report = validate(circuit)
-    assert report.ok, report.errors[:3]
+    assert report.ok, report.error_diagnostics[:3]
     # The combinational view is acyclic and complete in both modes.
     for mode in ("test", "functional"):
         view = extract_comb_view(circuit, mode)
