@@ -111,7 +111,7 @@ def _write_stage_breakdown(name: str, result) -> None:
         "scale": _scale_for(name),
         "levels": {
             f"{pct:g}": {
-                "stage_seconds": run.effective_stage_seconds(),
+                "stage_seconds": dict(run.stage_seconds),
                 "from_cache": run.from_cache,
             }
             for pct, run in sorted(result.runs.items())

@@ -546,7 +546,7 @@ def cmd_trace(args) -> int:
             print("no traces found in: " + ", ".join(args.inputs),
                   file=sys.stderr)
             return 1
-        merged = obs.merge_traces(traces)
+        merged = obs.chrome_trace(traces)
         problems = obs.validate_chrome_trace(merged)
         if problems:
             print("merged trace is invalid:", file=sys.stderr)

@@ -87,7 +87,7 @@ from repro.obs.tracer import Trace
 
 #: Bump when the FlowSummary layout or key derivation changes; old
 #: cache entries then miss instead of unpickling into the wrong shape.
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -149,20 +149,17 @@ class FlowSummary:
         test: Table 1 metrics (None when the ATPG phase was skipped).
         area: Table 2 metrics (None when the layout phase was skipped).
         sta: Table 3 digest (None when the layout phase was skipped).
-        stage_seconds: Per-stage wall-clock seconds.  On a cache hit
-            the executor zeroes this dict (no stage re-ran) and keeps
-            the original timings in :attr:`cached_stage_seconds`.
-        cached_stage_seconds: Stage timings of the run that populated
-            the cache entry (empty for fresh runs).
+        stage_seconds: Per-stage wall-clock seconds of the run that
+            computed this summary; on a cache hit (:attr:`from_cache`)
+            they are the stored timings of the run that filled the
+            entry, not time spent in this sweep.
         log: Per-stage log records emitted by the worker.
         cache_key: Content hash this summary is stored under.
         from_cache: True when served from the cache, not computed.
         worker_pid: PID of the process that ran the flow.
         trace: The run's span tree when the worker traced its flow
             (see :mod:`repro.obs`); None otherwise, and always None on
-            cache hits (no stage re-ran).  The plain-class default
-            keeps summaries pickled before this field existed loading
-            cleanly — they read back as untraced.
+            cache hits (no stage re-ran).
     """
 
     tp_percent: float
@@ -171,25 +168,11 @@ class FlowSummary:
     area: Optional[Dict[str, float]] = None
     sta: Optional[StaSummary] = None
     stage_seconds: Dict[str, float] = field(default_factory=dict)
-    cached_stage_seconds: Dict[str, float] = field(default_factory=dict)
     log: Tuple[str, ...] = ()
     cache_key: str = ""
     from_cache: bool = False
     worker_pid: int = 0
     trace: Optional[Trace] = None
-
-    def effective_stage_seconds(self) -> Dict[str, float]:
-        """Stage timings that actually describe this run's work.
-
-        Live timings when the flow ran in this sweep; the original
-        run's timings when the summary was served from the cache (a
-        hit zeroes :attr:`stage_seconds` because no stage re-ran).
-        Reporting should use this so cached sweeps still render
-        sensible stage tables.
-        """
-        if self.from_cache and self.cached_stage_seconds:
-            return dict(self.cached_stage_seconds)
-        return dict(self.stage_seconds)
 
     def test_metrics(self) -> TestDataMetrics:
         """The paper's Table 1 row for this run."""
@@ -739,19 +722,12 @@ def _plan_levels(config: ExperimentConfig,
 
 
 def _cache_hit(summary: FlowSummary) -> FlowSummary:
-    """Rebadge a stored summary as a hit: no stage re-ran, so the
-    live ``stage_seconds`` are all zero, the original timings move to
-    ``cached_stage_seconds`` (see ``effective_stage_seconds``), and
-    any stored trace is dropped — a trace describes work this sweep
-    did not perform, and its stale wall epoch would skew a merged
+    """Rebadge a stored summary as a hit: ``stage_seconds`` keep the
+    recorded timings (``from_cache`` says no stage re-ran), and any
+    stored trace is dropped — a trace describes work this sweep did
+    not perform, and its stale wall epoch would skew a merged
     timeline."""
-    return replace(
-        summary,
-        from_cache=True,
-        cached_stage_seconds=dict(summary.stage_seconds),
-        stage_seconds={k: 0.0 for k in summary.stage_seconds},
-        trace=None,
-    )
+    return replace(summary, from_cache=True, trace=None)
 
 
 def _record_level(tracer, task: _LevelTask, summary: FlowSummary,
@@ -998,6 +974,8 @@ class _Scheduler:
             error_message=message,
             cache_key=task.cache_key,
         ))
+        obs.inc("repro_cells_total", 1, circuit=task.name,
+                outcome="aborted")
         self.tracer.counter("sweep.failed_cells")
         self._journal_event("task_aborted", task,
                             cancelled=self.cancelled)

@@ -44,21 +44,16 @@ def _format(rows: Iterable[_Row], columns: Sequence[tuple]) -> str:
 def format_stage_seconds(result) -> str:
     """Per-stage runtime table for one sweep, one row per TP level.
 
-    Cache-served levels report the timings recorded when the flow
-    actually ran (:meth:`~repro.core.executor.FlowSummary.
-    effective_stage_seconds`), so a fully warm sweep still renders a
-    meaningful table instead of a row of zeros; such rows are flagged
-    in the ``cached`` column.
+    Cache-served levels keep the ``stage_seconds`` recorded when the
+    flow actually ran, so a fully warm sweep still renders a
+    meaningful table; such rows are flagged in the ``cached`` column.
     """
     from repro.core.flow import STAGE_KEYS
 
     rows: List[Dict[str, object]] = []
     for pct in sorted(result.runs):
         run = result.runs[pct]
-        if hasattr(run, "effective_stage_seconds"):
-            seconds = run.effective_stage_seconds()
-        else:
-            seconds = dict(run.stage_seconds)
+        seconds = run.stage_seconds
         row: Dict[str, object] = {"tp_percent": pct}
         for key in STAGE_KEYS:
             row[key] = seconds.get(key, 0.0)

@@ -244,7 +244,7 @@ class SweepReport:
             daemon's read-only degraded mode).
         started_at / finished_at: Wall-clock stamps (``time.time()``)
             of the sweep's boundaries, for humans and cross-machine
-            correlation.  0.0 on reports from older pickles.
+            correlation.
         started_mono / finished_mono: The same boundaries on the
             monotonic clock (``time.monotonic()``), so
             :attr:`duration_s` and trace alignment are immune to NTP

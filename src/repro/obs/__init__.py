@@ -12,8 +12,9 @@ and the serving daemon, organised as four pillars (DESIGN.md §12):
    format (and validates scrapes).
 3. **Events** — :mod:`repro.obs.events` is a leveled JSONL event log
    with ``run_id``/``job_id``/cell correlation via :func:`bind`.
-4. **Aggregation** — :mod:`repro.obs.merge` stitches per-process
-   traces into one sweep-level trace with stable pid/tid mapping.
+4. **Aggregation** — :mod:`repro.obs.merge` moves per-process
+   traces through JSON files for the exporter to stitch into one
+   sweep-level trace.
 
 Everything is off by default and free when off: the process-wide
 tracer, registry and event log are shared null singletons until a
@@ -46,12 +47,10 @@ from repro.obs.export import (
 )
 from repro.obs.merge import (
     collect_trace_files,
-    merge_traces,
     read_trace_file,
     summarize_merged,
     trace_from_dict,
     trace_to_dict,
-    write_merged_trace,
     write_trace_file,
 )
 from repro.obs.metrics import (
@@ -117,7 +116,6 @@ __all__ = [
     "install_events_from_env",
     "install_registry",
     "log_buckets",
-    "merge_traces",
     "metrics_active",
     "observe",
     "read_events",
@@ -133,6 +131,5 @@ __all__ = [
     "validate_chrome_trace",
     "validate_exposition",
     "write_chrome_trace",
-    "write_merged_trace",
     "write_trace_file",
 ]

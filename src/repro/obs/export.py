@@ -6,8 +6,10 @@ Two consumers, two formats:
   ``{"traceEvents": [...]}`` JSON object understood by Perfetto and
   ``chrome://tracing``).  Spans become complete (``"ph": "X"``) events
   with microsecond timestamps; traces from several processes merge
-  onto one time axis using each trace's wall-clock epoch, keyed by
-  ``pid``/``tid``.
+  onto one time axis (the shared monotonic clock when every trace has
+  it, else wall time) with stable virtual pids.  It is the one
+  encoder: ``flow``/``sweep --trace``, ``repro trace merge`` and the
+  daemon's ``/trace`` all call it.
 * :func:`format_trace_summary` — a human-readable per-stage table
   (span tree with call counts, total seconds and attached
   counters/gauges), for terminals and bench artifacts.
@@ -33,33 +35,50 @@ def _span_args(span: Span) -> Dict[str, float]:
     return args
 
 
+def _sort_key(trace: Trace) -> Tuple:
+    return (trace.pid, trace.wall_epoch, trace.mono_epoch, trace.label)
+
+
 def chrome_trace(traces: Iterable[Optional[Trace]]) -> dict:
     """Merge traces into one Chrome trace-event JSON object.
 
-    ``None`` entries (untraced runs) are skipped.  Each trace becomes
-    one ``(pid, tid)`` track: the recording process's real pid, with
-    ``tid`` disambiguating multiple traces from the same process (the
-    inline ``jobs=1`` executor runs every level in the parent).  Trace
-    timestamps are offset by each trace's wall epoch relative to the
-    earliest one, so concurrently recorded traces line up on the
-    shared axis.
+    ``None`` entries (untraced runs) are skipped.
+
+    * **Alignment** prefers the shared monotonic clock: when every
+      trace carries a non-zero ``mono_epoch`` (same machine, same
+      boot), offsets come from it and wall-clock skew between
+      processes cannot misplace spans.  Otherwise offsets come from
+      ``wall_epoch``.  ``otherData.clock`` names the clock used.
+    * **Stable pids**: distinct recording processes are renumbered
+      ``1..N`` in deterministic ``(pid, epoch, label)`` order, so two
+      merges of the same inputs are byte-identical and diffable even
+      though real pids change run to run; the real pid is kept as
+      ``os_pid`` in each track's ``process_name`` metadata.  ``tid``
+      tells apart several traces of one process (the inline
+      ``jobs=1`` executor runs every level in the parent).
     """
-    live = [t for t in traces if t is not None]
+    live = sorted((t for t in traces if t is not None), key=_sort_key)
+    use_mono = bool(live) and all(t.mono_epoch for t in live)
+    epoch_of = (lambda t: t.mono_epoch) if use_mono else (
+        lambda t: t.wall_epoch)
+    epoch0 = min((epoch_of(t) for t in live), default=0.0)
     events: List[dict] = []
-    if not live:
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
-    epoch0 = min(t.wall_epoch for t in live)
-    tid_of_pid: Dict[int, int] = {}
+    vpid_of: Dict[int, int] = {}
+    tid_of_vpid: Dict[int, int] = {}
     for trace in live:
-        tid = tid_of_pid.get(trace.pid, 0) + 1
-        tid_of_pid[trace.pid] = tid
-        offset_us = (trace.wall_epoch - epoch0) * 1e6
+        vpid = vpid_of.setdefault(trace.pid, len(vpid_of) + 1)
+        tid = tid_of_vpid.get(vpid, 0) + 1
+        tid_of_vpid[vpid] = tid
+        offset_us = (epoch_of(trace) - epoch0) * 1e6
         events.append({
             "name": "process_name",
             "ph": "M",
-            "pid": trace.pid,
+            "pid": vpid,
             "tid": tid,
-            "args": {"name": trace.label or f"pid {trace.pid}"},
+            "args": {
+                "name": trace.label or f"pid {trace.pid}",
+                "os_pid": trace.pid,
+            },
         })
         if trace.counters or trace.gauges:
             events.append({
@@ -67,7 +86,7 @@ def chrome_trace(traces: Iterable[Optional[Trace]]) -> dict:
                 "ph": "I",
                 "s": "p",
                 "ts": offset_us,
-                "pid": trace.pid,
+                "pid": vpid,
                 "tid": tid,
                 "args": dict(trace.counters, **trace.gauges),
             })
@@ -77,11 +96,15 @@ def chrome_trace(traces: Iterable[Optional[Trace]]) -> dict:
                 "ph": "X",
                 "ts": offset_us + span.t_start * 1e6,
                 "dur": span.duration_s * 1e6,
-                "pid": trace.pid,
+                "pid": vpid,
                 "tid": tid,
                 "args": _span_args(span),
             })
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+    return {
+        "traceEvents": events,
+        "displayTimeUnit": "ms",
+        "otherData": {"clock": "monotonic" if use_mono else "wall"},
+    }
 
 
 def write_chrome_trace(path, traces: Iterable[Optional[Trace]]) -> dict:

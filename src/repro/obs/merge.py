@@ -1,27 +1,18 @@
-"""Cross-process trace aggregation: serialize, stitch, summarize.
+"""Cross-process trace aggregation: serialize and summarize.
 
 Fourth telemetry pillar.  A parallel sweep produces many
 :class:`~repro.obs.tracer.Trace` objects — one per cell recorded
 inside a worker process, plus the parent's scheduling trace and (under
-the daemon) per-job spans recorded in the service.  This module turns
-that pile into one sweep-level Chrome/Perfetto trace:
+the daemon) per-job spans recorded in the service.  This module moves
+that pile through files; :func:`~repro.obs.export.chrome_trace`
+stitches it into one sweep-level Chrome/Perfetto trace:
 
 * :func:`trace_to_dict` / :func:`trace_from_dict` — lossless JSON
   round-trip of ``Trace``/``Span`` trees, so traces survive outside a
   pickle (``repro sweep --trace-dir`` writes one file per cell,
   the daemon writes one per job).
-* :func:`merge_traces` — the stitcher.  Traces align on the shared
-  monotonic clock (``Trace.mono_epoch``; same CLOCK_MONOTONIC for
-  every process on the machine) with a wall-clock fallback for old
-  traces, and get **stable virtual pids**: distinct recording
-  processes map to pids ``1..N`` in a deterministic order, so two
-  merges of the same inputs are byte-identical and diffable even
-  though real pids change run to run.  The real pid is preserved in
-  each track's ``process_name`` metadata.
 * :func:`summarize_merged` — a per-track per-span text table for a
   merged Chrome object, the ``repro trace summarize`` backend.
-
-Output passes :func:`~repro.obs.export.validate_chrome_trace`.
 """
 
 from __future__ import annotations
@@ -80,8 +71,9 @@ def trace_to_dict(trace: Trace) -> dict:
 def trace_from_dict(data: dict) -> Trace:
     """Rebuild a :class:`Trace` from its JSON form.
 
-    Tolerant of missing keys so traces written by older versions
-    (no ``mono_epoch``) still load.
+    Tolerant of missing keys: trace files come from outside the
+    program, and one without ``mono_epoch`` loads with 0.0 (the
+    exporter then aligns it on wall time).
     """
     return Trace(
         spans=[_span_from_dict(s) for s in data.get("spans") or []],
@@ -136,99 +128,6 @@ def collect_trace_files(paths: Sequence[str]) -> List[str]:
         else:
             out.append(path)
     return out
-
-
-# ----------------------------------------------------------------------
-# Merging
-# ----------------------------------------------------------------------
-def _sort_key(trace: Trace) -> Tuple:
-    return (trace.pid, trace.wall_epoch, trace.mono_epoch, trace.label)
-
-
-def merge_traces(traces: Iterable[Optional[Trace]]) -> dict:
-    """Stitch traces into one Chrome trace-event object.
-
-    Differences from the single-process :func:`~repro.obs.export.chrome_trace`:
-
-    * **Alignment** prefers the shared monotonic clock: when every
-      trace carries a non-zero ``mono_epoch`` (same machine, same
-      boot), offsets come from it and wall-clock skew between
-      processes cannot misplace spans.  Otherwise falls back to
-      ``wall_epoch`` like the plain exporter.
-    * **Stable pids**: distinct recording processes are renumbered
-      ``1..N`` in deterministic ``(pid, epoch, label)`` order, so the
-      merged JSON is reproducible across runs of the merge itself;
-      the real OS pid is recorded in the track's ``process_name``
-      metadata args.
-    """
-    live = [t for t in traces if t is not None]
-    events: List[dict] = []
-    if not live:
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-    live.sort(key=_sort_key)
-    use_mono = all(t.mono_epoch for t in live)
-    epoch_of = (lambda t: t.mono_epoch) if use_mono else (
-        lambda t: t.wall_epoch)
-    epoch0 = min(epoch_of(t) for t in live)
-
-    pid_map: Dict[int, int] = {}
-    for trace in live:
-        if trace.pid not in pid_map:
-            pid_map[trace.pid] = len(pid_map) + 1
-
-    tid_of_pid: Dict[int, int] = {}
-    for trace in live:
-        vpid = pid_map[trace.pid]
-        tid = tid_of_pid.get(vpid, 0) + 1
-        tid_of_pid[vpid] = tid
-        offset_us = (epoch_of(trace) - epoch0) * 1e6
-        events.append({
-            "name": "process_name",
-            "ph": "M",
-            "pid": vpid,
-            "tid": tid,
-            "args": {
-                "name": trace.label or f"pid {trace.pid}",
-                "os_pid": trace.pid,
-            },
-        })
-        if trace.counters or trace.gauges:
-            events.append({
-                "name": "trace_totals",
-                "ph": "I",
-                "s": "p",
-                "ts": offset_us,
-                "pid": vpid,
-                "tid": tid,
-                "args": dict(trace.counters, **trace.gauges),
-            })
-        for span in trace.walk():
-            args: Dict[str, float] = {}
-            args.update(span.counters)
-            args.update(span.gauges)
-            events.append({
-                "name": span.name,
-                "ph": "X",
-                "ts": offset_us + span.t_start * 1e6,
-                "dur": span.duration_s * 1e6,
-                "pid": vpid,
-                "tid": tid,
-                "args": args,
-            })
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"clock": "monotonic" if use_mono else "wall"},
-    }
-
-
-def write_merged_trace(path, traces: Iterable[Optional[Trace]]) -> dict:
-    """Write :func:`merge_traces` output to ``path``; returns it."""
-    obj = merge_traces(traces)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1)
-    return obj
 
 
 # ----------------------------------------------------------------------

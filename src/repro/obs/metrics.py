@@ -281,6 +281,17 @@ class MetricsRegistry:
         with self._lock:
             return self._families.get(name)
 
+    def total(self, name: str, **labels: str) -> float:
+        """Sum of a counter family's series whose labels include
+        ``labels`` (0.0 for an unknown family)."""
+        want = set(_label_key(labels))
+        with self._lock:
+            fam = self._families.get(name)
+            if fam is None:
+                return 0.0
+            return sum(inst.value for key, inst in fam.series.items()
+                       if want <= set(key))
+
     # -- merging ---------------------------------------------------------
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold ``other`` into this registry.

@@ -140,7 +140,7 @@ class Trace:
             machine this clock is shared across processes (CLOCK_MONOTONIC
             since boot), so merging aligns traces on it when every
             trace carries one — immune to NTP steps that skew
-            ``wall_epoch``.  0.0 on traces from older pickles.
+            ``wall_epoch``.  0.0 when unknown.
         counters: Trace-level counters recorded outside any span.
         gauges: Trace-level gauges recorded outside any span.
     """

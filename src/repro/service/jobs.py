@@ -87,6 +87,12 @@ from repro.service.protocol import (
 from repro.service.store import JobStore
 
 
+#: The ``repro_jobs_total`` events, each exposed as JSON ``jobs_<event>``.
+_JOB_EVENTS = ("submitted", "completed", "failed", "cancelled",
+               "coalesced", "recovered", "interrupted", "rejected",
+               "expired")
+
+
 class UnknownJobError(KeyError):
     """No job with the requested id exists on this daemon."""
 
@@ -258,28 +264,6 @@ class JobManager:
         #: Torn-line high-water mark per job journal, so the torn
         #: counter advances by deltas across repeated status polls.
         self._journal_torn: Dict[str, int] = {}  # lint: shared-under=_lock
-        self._counters: Dict[str, int] = {  # lint: shared-under=_lock
-            "jobs_submitted": 0,
-            "jobs_completed": 0,
-            "jobs_failed": 0,
-            "jobs_cancelled": 0,
-            "jobs_coalesced": 0,
-            "jobs_recovered": 0,
-            "jobs_interrupted": 0,
-            "jobs_rejected": 0,
-            "jobs_expired": 0,
-            "cells_done": 0,
-            "cells_failed": 0,
-            "retries": 0,
-            "timeouts": 0,
-            "worker_crashes": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "cache_evictions": 0,
-            "cache_write_failures": 0,
-            "journal_torn_lines": 0,
-            "store_torn_lines": 0,
-        }
         # Re-adopt whatever a previous daemon left in the durable job
         # store *before* opening it for append and starting workers:
         # terminal jobs come back report-and-all, interrupted ones are
@@ -310,6 +294,7 @@ class JobManager:
         """
         replay = JobStore.replay(self.store_dir)
         resumable: List[_Job] = []
+        recovered = 0
         # _recover runs from __init__ before the worker threads start,
         # but the lock keeps the guarded-state contract uniform.
         with self._lock:
@@ -331,16 +316,13 @@ class JobManager:
                             # A torn report line: the job stays done,
                             # the payload is gone.  /result says so.
                             pass
-                    self._counters["jobs_recovered"] += 1
+                    recovered += 1
                 else:
                     job.state = JOB_INTERRUPTED
                     job.resume = True
-                    self._counters["jobs_interrupted"] += 1
                     resumable.append(job)
                 self._jobs[job.id] = job
                 self._order.append(job.id)
-            self._counters["store_torn_lines"] += replay.torn_lines
-            recovered = self._counters["jobs_recovered"]
         if replay.records or replay.torn_lines:
             self.registry.inc("repro_store_torn_lines_total",
                               replay.torn_lines)
@@ -363,7 +345,8 @@ class JobManager:
         d = self.registry.describe
         d("repro_jobs_total", "counter",
           "Job lifecycle transitions by event "
-          "(submitted/coalesced/completed/failed/cancelled).")
+          "(submitted/coalesced/completed/failed/cancelled/expired/"
+          "rejected/recovered/interrupted).")
         d("repro_job_seconds", "histogram",
           "Wall seconds a job spent executing (monotonic clock).")
         d("repro_job_queue_wait_seconds", "histogram",
@@ -374,7 +357,7 @@ class JobManager:
           "End-to-end wall seconds per sweep cell.")
         d("repro_cells_total", "counter",
           "Sweep cells finished, by circuit and outcome "
-          "(ok/failed/cached).")
+          "(ok/failed/aborted/cached).")
         d("repro_task_retries_total", "counter",
           "Cell attempts that failed and were retried.")
         d("repro_task_timeouts_total", "counter",
@@ -460,14 +443,12 @@ class JobManager:
         journal = self.journal_dir / f"{job_id}.jsonl"
         with self._lock:
             if self._draining:
-                self._counters["jobs_rejected"] += 1
                 self.registry.inc("repro_jobs_total", 1,
                                   event="rejected")
                 raise ServiceDrainingError(self._retry_after_locked())
             pending = self._queue.qsize()
             if self.max_pending is not None \
                     and pending >= self.max_pending:
-                self._counters["jobs_rejected"] += 1
                 self.registry.inc("repro_jobs_total", 1,
                                   event="rejected")
                 raise QueueFullError(pending, self.max_pending,
@@ -483,11 +464,7 @@ class JobManager:
                        coalesced_with=twin.id if twin else None)
             self._jobs[job_id] = job
             self._order.append(job_id)
-            self._counters["jobs_submitted"] += 1
-            if twin is not None:
-                self._counters["jobs_coalesced"] += 1
             self.store.record_transition(job.record())
-        obs.counter("service.jobs_submitted")
         self.registry.inc("repro_jobs_total", 1, event="submitted")
         if job.coalesced_with:
             self.registry.inc("repro_jobs_total", 1, event="coalesced")
@@ -530,7 +507,6 @@ class JobManager:
                 delta = torn - self._journal_torn.get(job_id, 0)
                 if delta > 0:
                     self._journal_torn[job_id] = torn
-                    self._counters["journal_torn_lines"] += delta
                 else:
                     delta = 0
             if delta > 0:
@@ -557,7 +533,6 @@ class JobManager:
                 job.state = JOB_CANCELLED
                 job.finished_at = time.time()
                 job.finished_mono = time.monotonic()
-                self._counters["jobs_cancelled"] += 1
                 self.registry.inc("repro_jobs_total", 1,
                                   event="cancelled")
                 self.store.record_transition(job.record())
@@ -645,7 +620,8 @@ class JobManager:
                     job.state = JOB_CANCELLED
                     job.finished_at = time.time()
                     job.finished_mono = time.monotonic()
-                    self._counters["jobs_cancelled"] += 1
+                    self.registry.inc("repro_jobs_total", 1,
+                                      event="cancelled")
                     self.store.record_transition(job.record())
                 return
             if job.deadline_exceeded():
@@ -659,8 +635,8 @@ class JobManager:
                     "before the job started")
                 job.finished_at = time.time()
                 job.finished_mono = time.monotonic()
-                self._counters["jobs_cancelled"] += 1
-                self._counters["jobs_expired"] += 1
+                self.registry.inc("repro_jobs_total", 1,
+                                  event="cancelled")
                 self.registry.inc("repro_jobs_total", 1,
                                   event="expired")
                 self.store.record_transition(job.record())
@@ -672,7 +648,6 @@ class JobManager:
             job.started_mono = time.monotonic()
             self._running[job.id] = job
             self.store.record_transition(job.record())
-        obs.counter("service.jobs_started")
         queue_wait = job.started_mono - job.submitted_mono
         self.registry.observe("repro_job_queue_wait_seconds", queue_wait)
         run_from = job.tracer.now()
@@ -691,9 +666,7 @@ class JobManager:
                     job.state = JOB_FAILED
                     job.finished_at = time.time()
                     job.finished_mono = time.monotonic()
-                    self._counters["jobs_failed"] += 1
                     self.store.record_transition(job.record())
-                obs.counter("service.jobs_failed")
                 self.registry.inc("repro_jobs_total", 1, event="failed")
                 obs.emit("job_failed", "error", error=job.error)
                 self._finish_trace(job, None, run_from)
@@ -709,25 +682,12 @@ class JobManager:
                         job.error = (
                             f"deadline_s={job.request.deadline_s:g} "
                             "expired mid-run; the job was cancelled")
-                        self._counters["jobs_expired"] += 1
                         self.registry.inc("repro_jobs_total", 1,
                                           event="expired")
-                    self._counters["jobs_cancelled"] += 1
                 else:
                     job.state = JOB_DONE
-                    self._counters["jobs_completed"] += 1
                 self._durations.append(
                     job.finished_mono - job.started_mono)
-                self._counters["cells_done"] += report.successful_cells()
-                self._counters["cells_failed"] += len(report.failures)
-                self._counters["retries"] += report.retries
-                self._counters["timeouts"] += report.timeouts
-                self._counters["worker_crashes"] += report.worker_crashes
-                self._counters["cache_hits"] += report.cache_hits
-                self._counters["cache_misses"] += report.cache_misses
-                self._counters["cache_evictions"] += report.cache_evictions
-                self._counters["cache_write_failures"] += (
-                    report.cache_write_failures)
                 self.store.record_transition(
                     job.record(),
                     report=(report_to_wire(report)
@@ -736,7 +696,6 @@ class JobManager:
                 self._enter_degraded_mode(
                     f"cache write failed during job {job.id} "
                     f"({report.cache_write_failures} failure(s))")
-            obs.counter("service.jobs_finished")
             self.registry.inc(
                 "repro_jobs_total", 1,
                 event=("cancelled" if job.state == JOB_CANCELLED
@@ -767,7 +726,6 @@ class JobManager:
             self._degraded_reason = reason
         self.registry.inc("repro_cache_write_failures_total", 1)
         self.registry.set("repro_degraded", 1)
-        obs.counter("service.degraded")
         obs.emit("service_degraded", "error", reason=reason)
 
     @property
@@ -832,7 +790,7 @@ class JobManager:
 
         The bundle always holds the job-level spans (queue_wait +
         run); with ``request.trace`` set it also carries every cell's
-        worker-side flow trace, so ``merge_traces`` can stitch the
+        worker-side flow trace, so ``chrome_trace`` can stitch the
         whole job across processes.  Best-effort: a full disk must
         not fail the job itself.
         """
@@ -864,13 +822,39 @@ class JobManager:
         if trace_path is None:
             raise FileNotFoundError(
                 f"job {job_id} has no trace yet (state {state})")
-        return obs.merge_traces(obs.read_trace_file(trace_path))
+        return obs.chrome_trace(obs.read_trace_file(trace_path))
 
     # -- observability ---------------------------------------------------
     def metrics(self) -> Dict[str, Any]:
-        """Counters and gauges for the ``/metrics`` endpoint."""
+        """Counters and gauges for the ``/metrics`` endpoint.
+
+        Every counter is a sum of registry series, so JSON and
+        Prometheus scrapes cannot disagree: ``jobs_X`` is
+        ``repro_jobs_total{event=X}``, ``cells_*`` and ``cache_*`` read
+        ``repro_cells_total`` by outcome and ``repro_cache_events_total``
+        by event, the rest their own ``repro_*_total`` family.
+        """
+        total = self.registry.total
+        counters = {f"jobs_{event}": total("repro_jobs_total", event=event)
+                    for event in _JOB_EVENTS}
+        counters.update(
+            cells_done=(total("repro_cells_total", outcome="ok")
+                        + total("repro_cells_total", outcome="cached")),
+            cells_failed=(total("repro_cells_total", outcome="failed")
+                          + total("repro_cells_total", outcome="aborted")),
+            retries=total("repro_task_retries_total"),
+            timeouts=total("repro_task_timeouts_total"),
+            worker_crashes=total("repro_worker_crashes_total"),
+            cache_hits=total("repro_cache_events_total", event="hit"),
+            cache_misses=total("repro_cache_events_total", event="miss"),
+            cache_evictions=total("repro_cache_events_total",
+                                  event="evict"),
+            cache_write_failures=total("repro_cache_events_total",
+                                       event="write_failed"),
+            journal_torn_lines=total("repro_journal_torn_lines_total"),
+            store_torn_lines=total("repro_store_torn_lines_total"),
+        )
         with self._lock:
-            counters = dict(self._counters)
             running = len(self._running)
             draining = self._draining
             degraded = self._degraded
@@ -881,7 +865,7 @@ class JobManager:
                 states[state] = states.get(state, 0) + 1
         lookups = counters["cache_hits"] + counters["cache_misses"]
         return {
-            **counters,
+            **{key: int(value) for key, value in counters.items()},
             "queue_depth": self._queue.qsize(),
             "running_jobs": running,
             "job_workers": self.job_workers,

@@ -52,7 +52,7 @@ from repro.core.metrics import TestDataMetrics
 from repro.core.resilience import SweepReport, TaskFailure
 
 #: Bump on any incompatible change to the wire encodings below.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Job lifecycle states, in the order a healthy job visits them.
 JOB_QUEUED = "queued"
@@ -304,7 +304,6 @@ def summary_to_wire(summary: FlowSummary) -> Dict[str, Any]:
                  if summary.area is not None else None),
         "sta": _sta_to_wire(summary.sta),
         "stage_seconds": dict(summary.stage_seconds),
-        "cached_stage_seconds": dict(summary.cached_stage_seconds),
         "log": list(summary.log),
         "cache_key": summary.cache_key,
         "from_cache": summary.from_cache,
@@ -316,9 +315,9 @@ def summary_from_wire(data: Mapping[str, Any]) -> FlowSummary:
     """Decode one sweep cell back into a :class:`FlowSummary`."""
     _require(isinstance(data, Mapping), "cell must be a JSON object")
     _reject_unknown(data, ("tp_percent", "n_test_points", "test",
-                           "area", "sta", "stage_seconds",
-                           "cached_stage_seconds", "log", "cache_key",
-                           "from_cache", "worker_pid"), "cell")
+                           "area", "sta", "stage_seconds", "log",
+                           "cache_key", "from_cache", "worker_pid"),
+                     "cell")
     try:
         test = data.get("test")
         return FlowSummary(
@@ -329,8 +328,6 @@ def summary_from_wire(data: Mapping[str, Any]) -> FlowSummary:
                   if data.get("area") is not None else None),
             sta=_sta_from_wire(data.get("sta")),
             stage_seconds=dict(data.get("stage_seconds", {})),
-            cached_stage_seconds=dict(
-                data.get("cached_stage_seconds", {})),
             log=tuple(data.get("log", ())),
             cache_key=str(data.get("cache_key", "")),
             from_cache=bool(data.get("from_cache", False)),

@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional
 from repro.service.protocol import JobRecord, WireError
 
 #: Bump on any incompatible change to the record-line layout.
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 #: File name of the job-state journal inside the store directory.
 STORE_FILENAME = "store.jsonl"

@@ -125,11 +125,12 @@ def test_warm_cache_serves_every_level(warm_result, parallel_result):
     assert table_dicts(warm_result) == table_dicts(parallel_result)
 
 
-def test_warm_cache_reruns_no_flow_stage(warm_result):
-    for run in warm_result.runs.values():
-        assert sum(run.stage_seconds.values()) == 0.0
-        # The original timings survive for inspection.
-        assert sum(run.cached_stage_seconds.values()) > 0.0
+def test_warm_cache_reruns_no_flow_stage(warm_result, parallel_result):
+    for pct, run in warm_result.runs.items():
+        # The stored timings of the run that filled the entry, not
+        # fresh ones: no stage re-ran.
+        assert run.stage_seconds == parallel_result.runs[pct].stage_seconds
+        assert sum(run.stage_seconds.values()) > 0.0
 
 
 def test_no_cache_flag_forces_fresh_runs(sweep_cache_dir):

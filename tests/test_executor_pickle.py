@@ -56,7 +56,6 @@ def make_summary() -> FlowSummary:
         sta=StaSummary(paths={"clk": (path,)}, slow_nodes=("g1",),
                        hold_violations=0),
         stage_seconds={"tpi_scan": 0.1, "atpg": 1.0},
-        cached_stage_seconds={},
         log=("pid 1: atpg: 1000.0 ms",),
         cache_key="ab" * 32,
         worker_pid=1,
@@ -131,15 +130,6 @@ def strip_fields(obj, *names):
     for name in names:
         clone.__dict__.pop(name, None)
     return clone
-
-
-def test_old_flow_summary_pickle_without_trace_still_loads():
-    # PR 2 added ``trace``; cache entries written before it lack the
-    # attribute entirely.  They must load and read the default.
-    old = roundtrip(strip_fields(make_summary(), "trace"))
-    assert old.trace is None
-    assert old.cache_key == "ab" * 32
-    assert old.effective_stage_seconds()  # methods still work
 
 
 def test_old_executor_config_pickle_without_resilience_knobs():

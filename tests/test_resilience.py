@@ -207,7 +207,6 @@ class TestQuarantine:
             area={"core_area_um2": 1234.5},
             sta=None,
             stage_seconds={"tpi_scan": 0.1},
-            cached_stage_seconds={},
             log=(),
             cache_key="ef" * 32,
             worker_pid=1,

@@ -134,7 +134,6 @@ summaries = st.builds(
                                    max_size=4)),
     sta=st.one_of(st.none(), sta_summaries),
     stage_seconds=st.dictionaries(names, nonneg, max_size=3),
-    cached_stage_seconds=st.dictionaries(names, nonneg, max_size=3),
     log=st.lists(names, max_size=3).map(tuple),
     cache_key=st.text(alphabet="0123456789abcdef", min_size=8,
                       max_size=8),

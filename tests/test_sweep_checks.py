@@ -1,12 +1,22 @@
-"""The ``tests/sweep_checks.py`` subcommands CI runs without a daemon."""
+"""The ``tests/sweep_checks.py`` subcommands CI runs, driven in-process
+(the daemon ones against a ``ServiceThread``)."""
 
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from repro.chaos import FaultPlan, FaultSpec
+from repro.service import (
+    JobRecord,
+    JobStore,
+    ServiceConfig,
+    ServiceThread,
+    SweepRequest,
+)
+from repro.service.protocol import JOB_RUNNING
 from tests.sweep_checks import main
 
 
@@ -44,3 +54,22 @@ def test_metrics_dedup_rejects(tmp_path, changes):
     with pytest.raises(AssertionError):
         main(["metrics-dedup", _metrics(tmp_path, **changes),
               "--hits", "2"])
+
+
+def test_recovered_job_accepts_a_daemon_whose_only_job_was_killed(
+        tmp_path, capsys):
+    """A kill -9 on an empty cache dir: the store says ``running`` and
+    no job ever finished, so the restarted daemon recovers no terminal
+    job (``jobs_recovered`` 0) and interrupts one."""
+    request = SweepRequest(circuit="s38417", scale=0.01,
+                           tp_percents=(2.0,))
+    now = time.time()
+    with JobStore(tmp_path / "jobs") as store:
+        store.record_transition(JobRecord(
+            id="jkilled", state=JOB_RUNNING, request=request,
+            submitted_at=now, started_at=now))
+    config = ServiceConfig(port=0, cache_dir=str(tmp_path), job_workers=1)
+    with ServiceThread(config) as daemon:
+        assert main(["recovered-job", daemon.base_url, "jkilled",
+                     "--tp-percents", "2"]) == 0
+    assert "recovered job byte-identical" in capsys.readouterr().out

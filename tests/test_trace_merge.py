@@ -1,7 +1,7 @@
 """Tests for cross-process trace aggregation.
 
-The stitcher's contract: align traces on the shared monotonic clock
-(wall fallback for old traces), renumber real pids to stable virtual
+The contract of :func:`repro.obs.chrome_trace`: align traces on the
+shared monotonic clock (wall fallback when a trace lacks it), renumber real pids to stable virtual
 pids ``1..N`` so re-merging is byte-identical, keep the OS pid in the
 ``process_name`` metadata, and always emit something
 :func:`repro.obs.validate_chrome_trace` accepts.
@@ -91,7 +91,7 @@ def test_merge_assigns_stable_virtual_pids():
         _trace("worker-a", pid=4242, wall=10.0, mono=100.0),
         _trace("worker-b2", pid=9001, wall=10.5, mono=100.5),
     ]
-    merged = obs.merge_traces(traces)
+    merged = obs.chrome_trace(traces)
     assert obs.validate_chrome_trace(merged) == []
     meta = [e for e in merged["traceEvents"]
             if e.get("ph") == "M" and e["name"] == "process_name"]
@@ -107,8 +107,8 @@ def test_merge_assigns_stable_virtual_pids():
 def test_merge_is_deterministic_regardless_of_input_order():
     traces = [_trace(f"t{i}", pid=100 + i, wall=float(i),
                      mono=50.0 + i) for i in range(4)]
-    a = json.dumps(obs.merge_traces(traces), sort_keys=True)
-    b = json.dumps(obs.merge_traces(list(reversed(traces))),
+    a = json.dumps(obs.chrome_trace(traces), sort_keys=True)
+    b = json.dumps(obs.chrome_trace(list(reversed(traces))),
                    sort_keys=True)
     assert a == b
 
@@ -117,7 +117,7 @@ def test_merge_aligns_on_monotonic_clock():
     # Same machine: mono epochs 2s apart, wall epochs wildly skewed.
     early = _trace("early", pid=1, wall=1000.0, mono=500.0)
     late = _trace("late", pid=2, wall=10.0, mono=502.0)
-    merged = obs.merge_traces([early, late])
+    merged = obs.chrome_trace([early, late])
     assert merged["otherData"]["clock"] == "monotonic"
     spans = {e["pid"]: e for e in merged["traceEvents"]
              if e.get("ph") == "X"}
@@ -127,10 +127,10 @@ def test_merge_aligns_on_monotonic_clock():
 
 
 def test_merge_falls_back_to_wall_clock():
-    # One trace without mono_epoch (old pickle) forces wall alignment.
+    # One trace without mono_epoch forces wall alignment.
     a = _trace("new", pid=1, wall=100.0, mono=50.0)
     b = _trace("old", pid=2, wall=101.0, mono=0.0)
-    merged = obs.merge_traces([a, b])
+    merged = obs.chrome_trace([a, b])
     assert merged["otherData"]["clock"] == "wall"
     old_span = [e for e in merged["traceEvents"]
                 if e.get("ph") == "X" and e["pid"] == 2][0]
@@ -139,7 +139,7 @@ def test_merge_falls_back_to_wall_clock():
 
 
 def test_merge_empty_input():
-    merged = obs.merge_traces([None, None])
+    merged = obs.chrome_trace([None, None])
     assert merged["traceEvents"] == []
     assert obs.validate_chrome_trace(merged) == []
 
@@ -147,14 +147,14 @@ def test_merge_empty_input():
 def test_merge_carries_trace_totals():
     t = _trace("tot", pid=1, wall=1.0, mono=1.0)
     t.counters["cells_done"] = 3.0
-    merged = obs.merge_traces([t])
+    merged = obs.chrome_trace([t])
     instant = [e for e in merged["traceEvents"] if e.get("ph") == "I"]
     assert instant and instant[0]["args"]["cells_done"] == 3.0
 
 
 def test_write_merged_trace(tmp_path):
     path = tmp_path / "merged.json"
-    obj = obs.write_merged_trace(path, [_trace("w", 1, 1.0, 1.0)])
+    obj = obs.write_chrome_trace(path, [_trace("w", 1, 1.0, 1.0)])
     assert json.loads(path.read_text()) == obj
 
 
@@ -168,7 +168,7 @@ def test_summarize_merged_lists_tracks_and_spans():
         _trace("cell b", pid=11, wall=1.0, mono=1.0,
                spans=((0.0, 0.25, "atpg"),)),
     ]
-    text = obs.summarize_merged(obs.merge_traces(traces))
+    text = obs.summarize_merged(obs.chrome_trace(traces))
     assert "track pid=1 tid=1 (cell a)" in text
     assert "track pid=2 tid=1 (cell b)" in text
     assert "atpg" in text and "route" in text
